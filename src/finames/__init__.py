@@ -25,7 +25,7 @@ from .ingest import (
     normalize_name,
     strip_trailing_garbage,
 )
-from .ner import CustomizationDictionaries, Extractor, Mention, TokenStream, extract, filter_by_role_keyword, tokenize
+from .ner import CustomizationDictionaries, Extractor, Mention, extract, filter_by_role_keyword, tokenize
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "SectionConfig",
     "SuffixDictionary",
     "SuffixPattern",
-    "TokenStream",
     "apply_filters",
     "best_match",
     "build_corpus",

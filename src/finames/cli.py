@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -24,6 +23,7 @@ from .ingest import (
     load_name_list,
 )
 from .ner import DEFAULT_ROLE_KEYWORDS, DEFAULT_ROLE_WINDOW, CustomizationDictionaries
+from .textutil import entry_lines, read_utf8
 
 SECTION_LABELS = ("HEADER", "SUMMARY", "BODY")
 
@@ -57,10 +57,7 @@ class PipelineConfig:
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         known = {f.name for f in fields(cls) if not f.name.startswith("_")}
         values: dict[str, object] = {}
-        for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for number, line in entry_lines(path):
             key, sep, value = line.partition("=")
             key = key.strip()
             if not sep or key not in known:
@@ -68,10 +65,11 @@ class PipelineConfig:
             value = value.strip()
             if key in cls._LIST_KEYS:
                 values[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-            elif key == "threshold":
-                values[key] = float(value)
-            elif key == "window":
-                values[key] = int(value)
+            elif key in ("threshold", "window"):
+                try:
+                    values[key] = float(value) if key == "threshold" else int(value)
+                except ValueError:
+                    raise CliError(f"{path}:{number}: bad {key} {value!r}") from None
             else:
                 values[key] = value
         return cls(**values)  # type: ignore[arg-type]
@@ -194,23 +192,13 @@ def cmd_extract(args: argparse.Namespace) -> int:
             mentions = ner.filter_by_role_keyword(mentions, doc, keywords, config.window)
         return [m for m in mentions if m.section in wanted_sections]
 
-    document_paths = [Path(p) for p in args.documents]
     skipped: list[str] = []
     mentions: list[ner.Mention] = []
-    if args.threads > 1 and len(document_paths) > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            futures = {path: pool.submit(process, path) for path in document_paths}
-        for path, future in futures.items():
-            try:
-                mentions.extend(future.result())
-            except OSError as exc:
-                skipped.append(f"{path}: {exc}")
-    else:
-        for path in document_paths:
-            try:
-                mentions.extend(process(path))
-            except OSError as exc:
-                skipped.append(f"{path}: {exc}")
+    for path in args.documents:
+        try:
+            mentions.extend(process(path))
+        except (OSError, UnicodeDecodeError) as exc:
+            skipped.append(f"{path}: {exc}")
     mentions.sort(key=lambda m: (m.doc_id, m.start, m.end))
     lines = [f"{m.doc_id}\t{m.start}\t{m.end}\t{m.section}\t{m.surface}" for m in mentions]
     _emit("".join(line + "\n" for line in lines), args.output)
@@ -219,19 +207,22 @@ def cmd_extract(args: argparse.Namespace) -> int:
     return 1 if skipped else 0
 
 
-def _read_mentions_tsv(path: Path) -> list[tuple[str, int, int, str, str]]:
+def _read_tsv(path: Path, columns: int, expected: str, spans: bool = True) -> list[list]:
+    """Non-blank rows of a tab-separated file with at least ``columns`` columns;
+    with ``spans``, columns 2 and 3 are parsed as integer offsets."""
     rows = []
-    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for number, line in enumerate(read_utf8(path).splitlines(), start=1):
         if not line.strip():
             continue
-        parts = line.split("\t")
-        if len(parts) < 5:
-            raise CliError(f"{path}:{number}: expected 5 tab-separated columns")
-        try:
-            start, end = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise CliError(f"{path}:{number}: start/end are not integers")
-        rows.append((parts[0], start, end, parts[3], parts[4]))
+        parts: list = line.split("\t")
+        if len(parts) < columns:
+            raise CliError(f"{path}:{number}: expected {expected}")
+        if spans:
+            try:
+                parts[1], parts[2] = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise CliError(f"{path}:{number}: start/end are not integers")
+        rows.append(parts)
     return rows
 
 
@@ -248,18 +239,9 @@ def _build_corpus(config: PipelineConfig) -> tuple[er.Corpus, er.ErConfig]:
 def cmd_resolve(args: argparse.Namespace) -> int:
     config = _load_config(args)
     corpus, er_config = _build_corpus(config)
-    rows = _read_mentions_tsv(_existing(args.mentions, "mentions"))
-    unique_surfaces = list(dict.fromkeys(row[4] for row in rows))
-
-    def resolve_one(surface: str) -> er.MatchResult | None:
-        return er.best_match(surface, corpus, er_config)
-
-    if args.threads > 1 and len(unique_surfaces) > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(resolve_one, unique_surfaces))
-    else:
-        results = [resolve_one(surface) for surface in unique_surfaces]
-    by_surface = dict(zip(unique_surfaces, results))
+    rows = _read_tsv(_existing(args.mentions, "mentions"), 5, "5 tab-separated columns")
+    # each distinct surface is resolved once
+    by_surface = {s: er.best_match(s, corpus, er_config) for s in dict.fromkeys(row[4] for row in rows)}
     lines = []
     for row in rows:
         surface = row[4]
@@ -274,25 +256,10 @@ def cmd_resolve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_gold_tsv(path: Path) -> list[evaluation.GoldMention]:
-    gold = []
-    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) < 4:
-            raise CliError(f"{path}:{number}: expected 4 tab-separated columns")
-        try:
-            start, end = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise CliError(f"{path}:{number}: start/end are not integers")
-        gold.append(evaluation.GoldMention(parts[0], start, end, parts[3]))
-    return gold
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
-    rows = _read_mentions_tsv(_existing(args.mentions, "mentions"))
-    gold = _read_gold_tsv(_existing(args.gold, "gold"))
+    rows = _read_tsv(_existing(args.mentions, "mentions"), 5, "5 tab-separated columns")
+    gold_rows = _read_tsv(_existing(args.gold, "gold"), 4, "4 tab-separated columns")
+    gold = [evaluation.GoldMention(*row[:4]) for row in gold_rows]
     if not gold:
         raise CliError("gold file is empty")
     try:
@@ -318,14 +285,8 @@ def cmd_pr_curve(args: argparse.Namespace) -> int:
     config = _load_config(args)
     corpus, er_config = _build_corpus(config)
     pairs: list[tuple[float, bool]] = []
-    path = _existing(args.labeled, "labeled results")
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) < 2:
-            raise CliError(f"{path}:{number}: expected MENTION<TAB>EXPECTED_NAME")
-        mention, expected = parts[0], parts[1]
+    rows = _read_tsv(_existing(args.labeled, "labeled results"), 2, "MENTION<TAB>EXPECTED_NAME", spans=False)
+    for mention, expected, *_ in rows:
         best = evaluation.variant_best_match(args.variant, mention, corpus, er_config)
         if best is None:
             pairs.append((0.0, False))
@@ -345,7 +306,6 @@ def cmd_pr_curve(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="key=value config file")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for batch steps")
     common.add_argument("--output", type=Path, help="output file (or directory for build-dicts)")
 
     parser = argparse.ArgumentParser(prog="finames", description="Extract and resolve financial-institution names.")
@@ -405,10 +365,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

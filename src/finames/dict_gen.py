@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .ingest import MIN_NAME_LENGTH, NameList, NormalizedName, normalize_name, strip_trailing_garbage
-from .textutil import COMMA, TokenSeq, join_tokens, name_tokens
+from .textutil import COMMA, TokenSeq, entry_lines, join_tokens, name_tokens
 
 DEFAULT_STOP_TOKENS = frozenset({"THE", "OF", "AND", "A", "AN"})
 
@@ -285,16 +285,18 @@ def trigram_roots(name: NormalizedName, stop_tokens: frozenset[str] = DEFAULT_ST
 
 
 def apply_filters(entries: Iterable[TokenSeq], filters: FilterSet) -> set[TokenSeq]:
-    """Drop single-token address/location entries and stop-token-only entries.
+    """Drop single-token address/location entries, stop-token-only entries and
+    entries whose first token starts with ``#``.
 
-    Never edits inside multi-token entries; the result is always a subset of
-    the input.
+    A saved entry starting with ``#`` would read back as a comment line, so
+    such entries are never stored. Never edits inside multi-token entries;
+    the result is always a subset of the input.
     """
     single_bad = filters.address_terms | filters.location_terms
     kept: set[TokenSeq] = set()
     for entry in entries:
         entry = tuple(entry)
-        if not entry:
+        if not entry or entry[0].startswith("#"):
             continue
         if len(entry) == 1 and entry[0] in single_bad:
             continue
@@ -365,16 +367,10 @@ def save_suffix_dictionary(dictionary: SuffixDictionary, path: str | Path) -> No
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def _entry_lines(path: str | Path) -> Iterator[str]:
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip() and not line.startswith("#"):
-            yield line.strip()
-
-
 def load_token_entries(path: str | Path) -> frozenset[TokenSeq]:
     """Literal entries from a one-entry-per-line file, normalized to tokens."""
     entries = set()
-    for line in _entry_lines(path):
+    for _, line in entry_lines(path):
         if line.startswith(PATTERN_PREFIX):
             raise ValueError(f"{path}: pattern entry not allowed here: {line!r}")
         tokens = name_tokens(line)
@@ -390,7 +386,7 @@ def load_root_dictionary(path: str | Path) -> RootDictionary:
 def load_suffix_dictionary(path: str | Path) -> SuffixDictionary:
     literal: set[TokenSeq] = set()
     patterns: list[SuffixPattern] = []
-    for line in _entry_lines(path):
+    for _, line in entry_lines(path):
         if line.startswith(PATTERN_PREFIX):
             patterns.append(SuffixPattern(line[len(PATTERN_PREFIX) :].strip()))
         else:
@@ -403,7 +399,7 @@ def load_suffix_dictionary(path: str | Path) -> SuffixDictionary:
 def load_suffix_patterns(path: str | Path) -> tuple[SuffixPattern, ...]:
     """Pattern file: one pattern per line, optional tab-separated examples."""
     patterns = []
-    for line in _entry_lines(path):
+    for _, line in entry_lines(path):
         if line.startswith(PATTERN_PREFIX):
             line = line[len(PATTERN_PREFIX) :].strip()
         text, _, examples = line.partition("\t")

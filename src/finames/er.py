@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .ingest import NameList, NormalizedName
+from .textutil import entry_lines
 
 logger = logging.getLogger(__name__)
 
@@ -216,6 +217,20 @@ class MatchResult:
     s_b: float
 
 
+def best_candidate(
+    query_tokens: Sequence[str], corpus: Corpus, scorer: Callable[[Sequence[str], Sequence[str]], float]
+) -> tuple[int, float] | None:
+    """(entry id, score) of the candidate ``scorer(query_tokens, candidate)``
+    ranks highest; only a strictly higher score replaces the leader, so ties go
+    to the lowest entry id. None when no entry shares a token with the query."""
+    best: tuple[int, float] | None = None
+    for entry_id in corpus.candidate_ids(query_tokens):
+        value = scorer(query_tokens, corpus.tokens[entry_id])
+        if best is None or value > best[1]:
+            best = (entry_id, value)
+    return best
+
+
 def best_match(mention: str | Query, corpus: Corpus, config: ErConfig) -> MatchResult | None:
     """Highest-scoring candidate regardless of threshold; ties go to the lower
     entry id. None when the query is empty or shares no token with the corpus."""
@@ -223,19 +238,20 @@ def best_match(mention: str | Query, corpus: Corpus, config: ErConfig) -> MatchR
     if not query.tokens:
         logger.warning("query %r is empty after preprocessing", query.original)
         return None
-    best: tuple[float, int, float, float, float] | None = None
-    for entry_id in corpus.candidate_ids(query.tokens):
-        candidate = corpus.tokens[entry_id]
-        sq = score_sq(query.tokens, candidate, corpus.weight)
-        sc = score_sc(query.tokens, candidate)
-        sb = score_sb(query.tokens, candidate)
-        combined = sq * sc + sb
-        if best is None or combined > best[0]:
-            best = (combined, entry_id, sq, sc, sb)
+    best = best_candidate(query.tokens, corpus, lambda q, p: score(q, p, corpus.weight))
     if best is None:
         return None
-    combined, entry_id, sq, sc, sb = best
-    return MatchResult(query, entry_id, corpus.name(entry_id), combined, sq, sc, sb)
+    entry_id, combined = best
+    candidate = corpus.tokens[entry_id]
+    return MatchResult(
+        query,
+        entry_id,
+        corpus.name(entry_id),
+        combined,
+        score_sq(query.tokens, candidate, corpus.weight),
+        score_sc(query.tokens, candidate),
+        score_sb(query.tokens, candidate),
+    )
 
 
 def resolve(mention: str | Query, corpus: Corpus, config: ErConfig) -> MatchResult | None:
@@ -247,20 +263,14 @@ def resolve(mention: str | Query, corpus: Corpus, config: ErConfig) -> MatchResu
 
 
 def load_stop_words(path: str | Path) -> frozenset[str]:
-    words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.add(_clean_token(line.upper()))
+    words = {_clean_token(line.upper()) for _, line in entry_lines(path)}
     return frozenset(w for w in words if w)
 
 
 def load_abbreviations(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Abbreviation file: ABBREV<TAB>EXPANSION, one per line."""
     mapping: dict[str, tuple[str, ...]] = {}
-    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for number, line in entry_lines(path):
         abbrev, sep, expansion = line.partition("\t")
         if not sep or not expansion.strip():
             raise ValueError(f"{path}:{number}: expected ABBREV<TAB>EXPANSION")
@@ -274,9 +284,7 @@ def load_abbreviations(path: str | Path) -> dict[str, tuple[str, ...]]:
 def load_weight_overrides(path: str | Path) -> dict[str, float]:
     """Override file: TOKEN<TAB>weight, one per line; weights must be >= 0."""
     overrides: dict[str, float] = {}
-    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for number, line in entry_lines(path):
         token, sep, value = line.partition("\t")
         if not sep:
             raise ValueError(f"{path}:{number}: expected TOKEN<TAB>weight")

@@ -12,7 +12,18 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Sequence
 
-from .er import Corpus, ErConfig, MatchResult, Query, map_token, preprocess, score_sb, score_sc, score_sq
+from .er import (
+    Corpus,
+    ErConfig,
+    MatchResult,
+    Query,
+    best_candidate,
+    map_token,
+    preprocess,
+    score,
+    score_sc,
+    score_sq,
+)
 
 CORRECT = "CORRECT"
 WRO = "WRO"
@@ -199,13 +210,7 @@ def pr_curve(labeled_scores: Iterable[tuple[float, bool]]) -> list[PrPoint]:
     return points
 
 
-def baseline_score(
-    variant: str,
-    q: Query | Sequence[str],
-    p: Sequence[str],
-    corpus: Corpus,
-    config: ErConfig | None = None,
-) -> float:
+def baseline_score(variant: str, q: Query | Sequence[str], p: Sequence[str], corpus: Corpus) -> float:
     """Reduced forms of the ranking score used as baselines.
 
     ``idf`` ignores decay and order, ``sq`` is the decayed weighted sum alone,
@@ -221,7 +226,7 @@ def baseline_score(
     if variant == "sqsc":
         return score_sq(q_tokens, p_tokens, weight) * score_sc(q_tokens, p_tokens)
     if variant == "full":
-        return score_sq(q_tokens, p_tokens, weight) * score_sc(q_tokens, p_tokens) + score_sb(q_tokens, p_tokens)
+        return score(q_tokens, p_tokens, weight)
     raise ValueError(f"unknown variant {variant!r}; expected one of {SCORE_VARIANTS}")
 
 
@@ -232,12 +237,7 @@ def variant_best_match(
     query = preprocess(mention, config)
     if not query.tokens:
         return None
-    best: tuple[int, float] | None = None
-    for entry_id in corpus.candidate_ids(query.tokens):
-        value = baseline_score(variant, query, corpus.tokens[entry_id], corpus, config)
-        if best is None or value > best[1]:
-            best = (entry_id, value)
-    return best
+    return best_candidate(query.tokens, corpus, lambda q, p: baseline_score(variant, q, p, corpus))
 
 
 def pseudo_recall(results: Iterable[MatchResult | float], threshold: float) -> float | None:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .textutil import TokenSeq, join_tokens, name_tokens
+from .textutil import TokenSeq, entry_lines, join_tokens, name_tokens
 
 logger = logging.getLogger(__name__)
 
@@ -77,9 +77,8 @@ def name_list_from_strings(raw_names: Iterable[str], source_id: str) -> NameList
 
 
 def load_name_list(path: str | Path, source_id: str) -> NameList:
-    """Load a one-name-per-line UTF-8 file; '#' at column 0 starts a comment."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    raw = [line for line in lines if line.strip() and not line.startswith("#")]
+    """Load a one-name-per-line UTF-8 file, skipping blank and comment lines."""
+    raw = [line for _, line in entry_lines(path)]
     result = name_list_from_strings(raw, source_id)
     if result.dropped_short or result.dropped_duplicates:
         logger.info(
@@ -135,20 +134,6 @@ class SectionConfig:
 
     header_markers: tuple[str, ...] = DEFAULT_HEADER_MARKERS
     summary_end_markers: tuple[str, ...] = DEFAULT_SUMMARY_END_MARKERS
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "SectionConfig":
-        values = {"header_markers": DEFAULT_HEADER_MARKERS, "summary_end_markers": DEFAULT_SUMMARY_END_MARKERS}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in values:
-                raise ValueError(f"unknown section config key: {key!r}")
-            values[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-        return cls(tuple(values["header_markers"]), tuple(values["summary_end_markers"]))
 
 
 def _first_marker(text_upper: str, markers: Iterable[str], start: int = 0) -> int:

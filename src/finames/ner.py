@@ -11,17 +11,11 @@ import string
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .dict_gen import (
-    PATTERN_PREFIX,
-    RootDictionary,
-    SuffixDictionary,
-    SuffixPattern,
-    load_token_entries,
-)
+from .dict_gen import RootDictionary, SuffixDictionary, SuffixPattern, load_suffix_dictionary, load_token_entries
 from .ingest import Document
-from .textutil import TokenSeq, collapse_whitespace, iter_raw_tokens, name_tokens
+from .textutil import RawToken, TokenSeq, collapse_whitespace, iter_raw_tokens, name_tokens
 
 DEFAULT_ROLE_KEYWORDS = frozenset(
     {"SERVICER", "SERVICERS", "ISSUER", "SPONSOR", "DEPOSITOR", "TRUSTEE", "UNDERWRITER", "ORIGINATOR"}
@@ -31,31 +25,9 @@ DEFAULT_ROLE_WINDOW = 10
 _PUNCT = string.punctuation
 
 
-@dataclass(frozen=True)
-class Token:
-    text: str
-    start: int
-    end: int
-    preceded_by_newline: bool = False
-
-
-@dataclass(frozen=True)
-class TokenStream:
-    tokens: tuple[Token, ...]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self) -> Iterator[Token]:
-        return iter(self.tokens)
-
-    def texts(self) -> list[str]:
-        return [tok.text for tok in self.tokens]
-
-
-def tokenize(doc: Document) -> TokenStream:
+def tokenize(doc: Document) -> tuple[RawToken, ...]:
     """Uppercased whitespace tokens with offsets; commas become own tokens."""
-    return TokenStream(tuple(Token(*raw) for raw in iter_raw_tokens(doc.raw_text)))
+    return tuple(iter_raw_tokens(doc.raw_text))
 
 
 @dataclass(frozen=True)
@@ -96,25 +68,15 @@ class CustomizationDictionaries:
         invalid_elements: str | Path | None = None,
     ) -> "CustomizationDictionaries":
         roots: frozenset[TokenSeq] = frozenset()
-        suffixes: set[TokenSeq] = set()
-        patterns: list[SuffixPattern] = []
+        suffixes = SuffixDictionary(frozenset())
         invalid: frozenset[TokenSeq] = frozenset()
         if custom_roots:
             roots = load_token_entries(custom_roots)
         if custom_suffixes:
-            for line in Path(custom_suffixes).read_text(encoding="utf-8").splitlines():
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if line.startswith(PATTERN_PREFIX):
-                    patterns.append(SuffixPattern(line[len(PATTERN_PREFIX) :].strip()))
-                else:
-                    tokens = name_tokens(line)
-                    if tokens:
-                        suffixes.add(tokens)
+            suffixes = load_suffix_dictionary(custom_suffixes)
         if invalid_elements:
             invalid = load_token_entries(invalid_elements)
-        return cls(roots, frozenset(suffixes), invalid, tuple(patterns))
+        return cls(roots, suffixes.literal_entries, invalid, suffixes.pattern_entries)
 
 
 class _TokenTrie:
@@ -186,8 +148,8 @@ class Extractor:
         return pos, tuple(ranges)
 
     def extract(self, doc: Document) -> list[Mention]:
-        stream = tokenize(doc)
-        texts = stream.texts()
+        tokens = tokenize(doc)
+        texts = [tok.text for tok in tokens]
         mentions: list[Mention] = []
         pos = 0
         while pos < len(texts):
@@ -196,20 +158,19 @@ class Extractor:
                 break
             root_start, root_end = hit
             end, suffix_ranges = self._extend(texts, root_end)
-            mentions.append(_build_mention(doc, stream, root_start, root_end, end, suffix_ranges))
+            mentions.append(_build_mention(doc, tokens, root_start, root_end, end, suffix_ranges))
             pos = end
         return filter_invalid(mentions, self._invalid)
 
 
 def _build_mention(
     doc: Document,
-    stream: TokenStream,
+    tokens: Sequence[RawToken],
     root_start: int,
     root_end: int,
     end: int,
     suffix_ranges: tuple[tuple[int, int], ...],
 ) -> Mention:
-    tokens = stream.tokens
     start_char = tokens[root_start].start
     end_char = tokens[end - 1].end
     root_end_char = tokens[root_end - 1].end
@@ -224,55 +185,6 @@ def _build_mention(
         suffix_spans=tuple((tokens[i].start, tokens[j - 1].end) for i, j in suffix_ranges),
         section=doc.section_at(start_char),
     )
-
-
-def match_roots(
-    stream: TokenStream,
-    roots: RootDictionary,
-    custom_roots: frozenset[TokenSeq] = frozenset(),
-) -> list[tuple[int, int]]:
-    """Greedy leftmost-longest non-overlapping root matches as token ranges."""
-    trie = _TokenTrie.build(roots.entries | custom_roots)
-    texts = stream.texts()
-    matches: list[tuple[int, int]] = []
-    pos = 0
-    while pos < len(texts):
-        length = trie.longest_match(texts, pos)
-        if length:
-            matches.append((pos, pos + length))
-            pos += length
-        else:
-            pos += 1
-    return matches
-
-
-def extend_suffix(
-    stream: TokenStream,
-    root_match: tuple[int, int],
-    suffixes: SuffixDictionary,
-    custom_suffixes: frozenset[TokenSeq] = frozenset(),
-    custom_patterns: Sequence[SuffixPattern] = (),
-) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Extend a root match over trailing suffix entries until nothing applies.
-
-    Returns the final end token index and the consumed suffix token ranges.
-    """
-    trie = _TokenTrie.build(suffixes.literal_entries | custom_suffixes)
-    patterns = tuple(suffixes.pattern_entries) + tuple(custom_patterns)
-    texts = stream.texts()
-    pos = root_match[1]
-    ranges: list[tuple[int, int]] = []
-    while pos < len(texts):
-        length = trie.longest_match(texts, pos)
-        for pattern in patterns:
-            count = pattern.token_count
-            if count > length and pos + count <= len(texts) and pattern.matches(texts[pos : pos + count]):
-                length = count
-        if not length:
-            break
-        ranges.append((pos, pos + length))
-        pos += length
-    return pos, tuple(ranges)
 
 
 def filter_invalid(mentions: Sequence[Mention], invalid: frozenset[TokenSeq]) -> list[Mention]:
@@ -315,8 +227,8 @@ def filter_by_role_keyword(
     wanted = {k.upper() for k in (keywords if keywords is not None else DEFAULT_ROLE_KEYWORDS)}
     if not wanted:
         raise ValueError("role keyword set is empty")
-    stream = tokenize(doc)
-    starts = [tok.start for tok in stream.tokens]
+    tokens = tokenize(doc)
+    starts = [tok.start for tok in tokens]
     kept = []
     for mention in mentions:
         idx = bisect_left(starts, mention.start)
@@ -324,7 +236,7 @@ def filter_by_role_keyword(
             k = idx - 1 - distance
             if k < 0:
                 break
-            if _bare(stream.tokens[k].text) in wanted:
+            if _bare(tokens[k].text) in wanted:
                 kept.append(mention)
                 break
     return kept

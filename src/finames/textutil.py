@@ -9,6 +9,7 @@ back and forth without loss.
 """
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 COMMA = ","
@@ -80,3 +81,21 @@ def normalize_text(text: str) -> str:
 
 def collapse_whitespace(text: str) -> str:
     return " ".join(text.split())
+
+
+def read_utf8(path: str | Path) -> str:
+    """Whole text of a UTF-8 file; undecodable bytes raise a ValueError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 (byte {exc.start}: {exc.reason})") from None
+
+
+def entry_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for every line of a list, dictionary or
+    config file that is neither blank nor a comment (first non-blank
+    character ``#``)."""
+    for number, line in enumerate(read_utf8(path).splitlines(), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield number, line

@@ -219,11 +219,10 @@ def test_criterion_5_ner_bruteforce_equivalence():
             }
             patterns = (pattern,) if trial % 2 else ()
             doc = document_from_text(f"doc{trial}", text)
-            stream = tokenize(doc)
-            texts = stream.texts()
-            expected = ob_extract_spans(texts, root_entries, suffix_entries, patterns)
-            starts = [t.start for t in stream.tokens]
-            ends = [t.end for t in stream.tokens]
+            tokens = tokenize(doc)
+            expected = ob_extract_spans([t.text for t in tokens], root_entries, suffix_entries, patterns)
+            starts = [t.start for t in tokens]
+            ends = [t.end for t in tokens]
             expected_spans = [
                 (starts[s], ends[root_end - 1], ends[e - 1]) for s, root_end, e in expected
             ]

@@ -151,6 +151,20 @@ def test_extract_missing_document_partial_exit(workspace, capsys):
     assert out_path.read_text(encoding="utf-8")
 
 
+def test_extract_undecodable_document_skipped(workspace, capsys):
+    tmp_path, config, doc = workspace
+    assert run_build(config) == 0
+    good = extract_to(tmp_path, config, doc, "good.tsv")
+    capsys.readouterr()
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    out_path = tmp_path / "mentions.tsv"
+    code = main(["extract", "--config", str(config), "--output", str(out_path), str(doc), str(bad)])
+    assert code == 1
+    assert f"skipped {bad}: " in capsys.readouterr().err
+    assert out_path.read_text(encoding="utf-8") == good.read_text(encoding="utf-8")
+
+
 def test_extract_no_documents(workspace, capsys):
     tmp_path, config, doc = workspace
     assert run_build(config) == 0
@@ -282,6 +296,15 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert main(["build-dicts", "--config", str(config)]) == 2
 
 
+@pytest.mark.parametrize("line", ["threshold = abc", "window = 1.5"])
+def test_bad_config_value_names_file_and_line(tmp_path, capsys, line):
+    config = tmp_path / "bad.conf"
+    config.write_text("# numbers\n" + line + "\n", encoding="utf-8")
+    assert main(["extract", "--config", str(config)]) == 2
+    key = line.split("=")[0].strip()
+    assert f"error: {config}:2: bad {key} " in capsys.readouterr().err
+
+
 def test_end_to_end_determinism(workspace, capsys):
     tmp_path, config, doc = workspace
     outputs = []
@@ -366,15 +389,3 @@ def test_build_dicts_with_pattern_file(tmp_path, capsys):
     assert code == 0
     suffix_lines = (tmp_path / "suffix.dict").read_text(encoding="utf-8").splitlines()
     assert "re:NOTES \\d{4}-[A-Z0-9]+" in suffix_lines
-
-
-def test_extract_threads_match_single_thread(workspace, capsys):
-    tmp_path, config, doc = workspace
-    assert run_build(config) == 0
-    doc2 = tmp_path / "doc2.txt"
-    doc2.write_text(DOC_TEXT.replace("GRANITE", "MERIDIAN"), encoding="utf-8")
-    single = tmp_path / "single.tsv"
-    threaded = tmp_path / "threaded.tsv"
-    assert main(["extract", "--config", str(config), "--output", str(single), str(doc), str(doc2)]) == 0
-    assert main(["extract", "--config", str(config), "--threads", "4", "--output", str(threaded), str(doc), str(doc2)]) == 0
-    assert single.read_bytes() == threaded.read_bytes()

@@ -289,6 +289,18 @@ def test_serialization_round_trip_and_determinism(tmp_path):
     assert [p.pattern_text for p in loaded.pattern_entries] == [p.pattern_text for p in suffixes.pattern_entries]
 
 
+def test_hash_led_entries_dropped_so_round_trip_is_exact(tmp_path):
+    # A saved entry whose first token starts with "#" would read back as a comment.
+    names = ["FIRST #1 BANK", "ALPHA #7 TRUST COMPANY", "#9 GRANITE CAPITAL, N.A.", "BETA, #4 FUNDING"]
+    roots, suffixes = generate_dictionaries([name_list_from_strings(names, "x")], patterns=())
+    assert not any(entry[0].startswith("#") for entry in roots.entries | suffixes.literal_entries)
+    assert ("FIRST", "#1") in roots.entries
+    save_root_dictionary(roots, tmp_path / "root.dict")
+    save_suffix_dictionary(suffixes, tmp_path / "suffix.dict")
+    assert load_root_dictionary(tmp_path / "root.dict") == roots
+    assert load_suffix_dictionary(tmp_path / "suffix.dict") == suffixes
+
+
 def test_pattern_coverage_not_duplicated_as_literal():
     # Any literal a pattern already covers stays out of the literal set, so the
     # two entry kinds cover disjoint strings.

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finames.er import ErConfig, Query, best_match, build_corpus
+from finames.er import ErConfig, Query, best_match, build_corpus, preprocess
 from finames.evaluation import (
     CORRECT,
     PAR,
@@ -14,11 +16,14 @@ from finames.evaluation import (
     label_mentions,
     metrics,
     pr_curve,
+    SCORE_VARIANTS,
     pseudo_recall,
     render_report,
     variant_best_match,
 )
 from finames.ingest import name_list_from_strings
+
+from oracles import ob_best_match
 
 PLAIN = ErConfig(threshold=0.0, stop_words=frozenset(), abbreviations={})
 
@@ -180,7 +185,7 @@ def test_pr_curve_recall_non_decreasing():
 def test_full_variant_equals_resolver_score():
     corpus = build_corpus(name_list_from_strings(["WELLS FARGO", "ALPHA BANK"], "c"), PLAIN)
     result = best_match("WELLS FARGO BANK", corpus, PLAIN)
-    value = baseline_score("full", result.query, corpus.tokens[result.entry_id], corpus, PLAIN)
+    value = baseline_score("full", result.query, corpus.tokens[result.entry_id], corpus)
     assert value == pytest.approx(result.score)
 
 
@@ -217,6 +222,36 @@ def test_variant_best_match_prefers_lower_id_on_tie():
     best = variant_best_match("idf", "SHARED", corpus, PLAIN)
     assert best is not None
     assert corpus.name(best[0]) == "SHARED ALPHA"
+
+
+RANK_WORDS = ["ALPHA", "BRAVO", "CAPITAL", "TRUST", "FUNDS"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    names=st.lists(st.lists(st.sampled_from(RANK_WORDS), min_size=1, max_size=4), min_size=1, max_size=8),
+    duplicates=st.lists(st.integers(min_value=0, max_value=7), max_size=4),
+    query=st.lists(st.sampled_from(RANK_WORDS + ["OTHER"]), min_size=1, max_size=5),
+)
+def test_ranking_loop_is_brute_force_argmax(names, duplicates, query):
+    raw = [" ".join(words) for words in names]
+    # A trailing period makes a distinct corpus name with the same tokens: a forced tie.
+    raw += [raw[i % len(raw)] + "." for i in duplicates]
+    corpus = build_corpus(name_list_from_strings(raw, "c"), PLAIN)
+    mention = " ".join(query)
+    q = preprocess(mention, PLAIN).tokens
+    shared = [i for i, p in enumerate(corpus.tokens) if set(p) & set(q)]
+    got = {variant: variant_best_match(variant, mention, corpus, PLAIN) for variant in SCORE_VARIANTS}
+    for variant in SCORE_VARIANTS:
+        values = {i: baseline_score(variant, q, corpus.tokens[i], corpus) for i in shared}
+        want = None
+        if values:
+            top = max(values.values())
+            want = (min(i for i, v in values.items() if v == top), top)
+        assert got[variant] == want, variant
+    full = best_match(mention, corpus, PLAIN)
+    assert (None if full is None else (full.entry_id, full.score)) == got["full"]
+    assert ob_best_match(q, corpus.tokens, corpus.weight) == got["full"]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from finames.ingest import (
     BODY,
     HEADER,
     SUMMARY,
-    SectionConfig,
     document_from_text,
     load_document,
     load_name_list,
@@ -15,7 +14,8 @@ from finames.ingest import (
     segment_text,
     strip_trailing_garbage,
 )
-from finames.textutil import join_tokens, name_tokens
+from finames.cli import PipelineConfig
+from finames.textutil import entry_lines, join_tokens, name_tokens
 
 
 def test_load_name_list_case_fold_dedup(tmp_path):
@@ -57,6 +57,19 @@ def test_load_name_list_comments_and_blanks(tmp_path):
     result = load_name_list(path, "sec")
     assert [n.text for n in result.names] == ["GRANITE HARBOR BANK"]
     assert result.dropped_short == 0
+
+
+def test_entry_lines_skip_blank_and_comment_lines(tmp_path):
+    path = tmp_path / "list.txt"
+    path.write_text("# comment\n\n  \t\n   # indented comment\n ALPHA #1\nBETA\n", encoding="utf-8")
+    assert list(entry_lines(path)) == [(5, "ALPHA #1"), (6, "BETA")]
+
+
+def test_entry_lines_reject_undecodable_bytes(tmp_path):
+    path = tmp_path / "list.txt"
+    path.write_bytes(b"ALPHA\n\xff\xfe\n")
+    with pytest.raises(ValueError, match="list.txt: not UTF-8"):
+        list(entry_lines(path))
 
 
 def test_load_name_list_empty_file(tmp_path):
@@ -149,7 +162,7 @@ def test_segment_no_markers_is_body():
 def test_section_config_from_file(tmp_path):
     path = tmp_path / "sections.conf"
     path.write_text("header_markers=OVERVIEW,DIGEST\nsummary_end_markers=INDEX\n", encoding="utf-8")
-    config = SectionConfig.from_file(path)
+    config = PipelineConfig.from_file(path).section_config()
     assert config.header_markers == ("OVERVIEW", "DIGEST")
     assert config.summary_end_markers == ("INDEX",)
     sections = segment_text("top DIGEST middle INDEX rest", config)

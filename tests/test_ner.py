@@ -8,11 +8,9 @@ from finames.dict_gen import generate_dictionaries
 from finames.ner import (
     CustomizationDictionaries,
     Extractor,
-    extend_suffix,
     extract,
     filter_by_role_keyword,
     filter_invalid,
-    match_roots,
     tokenize,
 )
 from finames.textutil import name_tokens
@@ -68,58 +66,74 @@ def test_tokenize_offsets_strictly_increasing():
 
 
 # ---------------------------------------------------------------------------
-# match_roots
+# root matching and suffix extension, as token ranges
+
+
+def token_spans(d, roots, suffixes):
+    """Each mention of ``Extractor.extract`` as (root range, end, suffix ranges) in token indices."""
+    tokens = tokenize(d)
+    first = {t.start: i for i, t in enumerate(tokens)}
+    after = {t.end: i + 1 for i, t in enumerate(tokens)}
+    return [
+        (
+            (first[m.root_start], after[m.root_end]),
+            after[m.end],
+            tuple((first[a], after[b]) for a, b in m.suffix_spans),
+        )
+        for m in Extractor(roots, suffixes).extract(d)
+    ]
+
+
+def root_ranges(d, roots):
+    return [root for root, _, _ in token_spans(d, roots, suffixes_of())]
 
 
 def test_match_roots_multi_token():
-    stream = tokenize(doc("WELLS FARGO BANK"))
-    assert match_roots(stream, roots_of("WELLS FARGO")) == [(0, 2)]
+    assert root_ranges(doc("WELLS FARGO BANK"), roots_of("WELLS FARGO")) == [(0, 2)]
 
 
 def test_match_roots_longest_wins():
-    stream = tokenize(doc("WELLS FARGO BANK"))
-    assert match_roots(stream, roots_of("WELLS", "WELLS FARGO")) == [(0, 2)]
+    assert root_ranges(doc("WELLS FARGO BANK"), roots_of("WELLS", "WELLS FARGO")) == [(0, 2)]
 
 
 def test_match_roots_empty_stream():
-    assert match_roots(tokenize(doc("")), roots_of("WELLS")) == []
+    assert root_ranges(doc(""), roots_of("WELLS")) == []
 
 
 def test_match_roots_ignores_line_breaks():
-    stream = tokenize(doc("WELLS\nFARGO"))
-    assert match_roots(stream, roots_of("WELLS FARGO")) == [(0, 2)]
-
-
-# ---------------------------------------------------------------------------
-# extend_suffix
+    assert root_ranges(doc("WELLS\nFARGO"), roots_of("WELLS FARGO")) == [(0, 2)]
 
 
 def test_extend_suffix_chains_entries():
-    stream = tokenize(doc("WELLS FARGO BANK, N.A. rest"))
-    end, spans = extend_suffix(stream, (0, 2), suffixes_of("BANK", ", N.A."))
+    [(root, end, spans)] = token_spans(
+        doc("WELLS FARGO BANK, N.A. rest"), roots_of("WELLS FARGO"), suffixes_of("BANK", ", N.A.")
+    )
+    assert root == (0, 2)
     assert end == 5
     assert len(spans) == 2
 
 
 def test_extend_suffix_cross_institution():
     # A suffix learned from one institution extends a different root.
-    stream = tokenize(doc("COUNTRYWIDE MBS"))
-    end, spans = extend_suffix(stream, (0, 1), suffixes_of("MBS", "BANK"))
+    [(root, end, spans)] = token_spans(doc("COUNTRYWIDE MBS"), roots_of("COUNTRYWIDE"), suffixes_of("MBS", "BANK"))
+    assert root == (0, 1)
     assert end == 2
     assert spans == ((1, 2),)
 
 
 def test_extend_suffix_nothing_following():
-    stream = tokenize(doc("WELLS FARGO"))
-    end, spans = extend_suffix(stream, (0, 2), suffixes_of("BANK"))
+    [(root, end, spans)] = token_spans(doc("WELLS FARGO"), roots_of("WELLS FARGO"), suffixes_of("BANK"))
+    assert root == (0, 2)
     assert end == 2
     assert spans == ()
 
 
 def test_extend_suffix_pattern_entries():
     pattern = SuffixPattern(r"TRUST \d{4}-[A-Z0-9]+")
-    stream = tokenize(doc("MERIDIAN TRUST 2006-A1"))
-    end, spans = extend_suffix(stream, (0, 1), suffixes_of(patterns=[pattern]))
+    [(root, end, spans)] = token_spans(
+        doc("MERIDIAN TRUST 2006-A1"), roots_of("MERIDIAN"), suffixes_of(patterns=[pattern])
+    )
+    assert root == (0, 1)
     assert end == 3
     assert spans == ((1, 3),)
 
@@ -245,16 +259,15 @@ def test_extract_brute_force_equivalence_randomized():
             tuple(rng.choices(alphabet[:5], k=rng.randint(1, 2))) for _ in range(rng.randint(0, 4))
         }
         d = doc(text)
-        stream = tokenize(d)
-        texts = stream.texts()
-        expected = ob_extract_spans(texts, root_entries, suffix_entries, [pattern])
+        tokens = tokenize(d)
+        expected = ob_extract_spans([t.text for t in tokens], root_entries, suffix_entries, [pattern])
         got = extract(
             d,
             RootDictionary(frozenset(root_entries)),
             SuffixDictionary(frozenset(suffix_entries), (pattern,)),
         )
-        starts = [t.start for t in stream.tokens]
-        ends = [t.end for t in stream.tokens]
+        starts = [t.start for t in tokens]
+        ends = [t.end for t in tokens]
         expected_char_spans = [(starts[s], ends[e - 1]) for s, _, e in expected]
         assert [(m.start, m.end) for m in got] == expected_char_spans
 
