@@ -43,11 +43,12 @@ class ErConfig:
     weight_overrides: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.threshold < 0:
-            raise ValueError("threshold must be >= 0")
+        # ``not x >= 0`` also rejects NaN, which fails every comparison.
+        if not self.threshold >= 0:
+            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
         for token, weight in self.weight_overrides.items():
-            if weight < 0:
-                raise ValueError(f"negative weight override for {token!r}")
+            if not weight >= 0:
+                raise ValueError(f"weight override for {token!r} must be >= 0, got {weight}")
 
 
 @dataclass(frozen=True)
@@ -133,61 +134,42 @@ def build_corpus(names: NameList, config: ErConfig) -> Corpus:
     )
 
 
-def _tokens_of(value: Query | Sequence[str]) -> tuple[str, ...]:
-    if isinstance(value, Query):
-        return value.tokens
-    return tuple(value)
-
-
-def map_token(token: str, candidate: Sequence[str]) -> int:
-    """Index of the first occurrence of ``token`` in ``candidate``, -1 if absent."""
-    for j, other in enumerate(candidate):
-        if other == token:
-            return j
-    return -1
-
-
-def _ordered_prefix_end(source: Sequence[str], target: Sequence[str]) -> int:
-    """Last index of the longest leading run whose first-match positions keep
-    strictly increasing; the first index is always accepted, and -1 means the
-    source is empty."""
-    limit = -1
-    highest: float | None = None
+def _ordered_hits(source: Sequence[str], target: Sequence[str]) -> list[int]:
+    """Indexes of the ``source`` tokens found in ``target`` within the longest
+    leading run whose first-match positions in ``target`` keep strictly
+    increasing. The run always takes index 0, so only that one can be absent."""
+    first: dict[str, int] = {}
+    for j, token in enumerate(target):
+        first.setdefault(token, j)
+    hits: list[int] = []
+    last = -1
     for i, token in enumerate(source):
-        position = map_token(token, target)
-        if highest is not None and position <= highest:
+        position = first.get(token, -1)
+        if i and position <= last:
             break
-        limit = i
-        highest = position if highest is None else max(highest, position)
-    return limit
+        if position >= 0:
+            hits.append(i)
+        last = position
+    return hits
 
 
-def score_sq(q: Query | Sequence[str], p: Sequence[str], weight: Callable[[str], float]) -> float:
+def score_sq(q: Sequence[str], p: Sequence[str], weight: Callable[[str], float]) -> float:
     """Decayed weighted sum over query tokens found in the candidate."""
-    q_tokens = _tokens_of(q)
-    limit = _ordered_prefix_end(q_tokens, p)
-    total = 0.0
-    for i in range(limit + 1):
-        if map_token(q_tokens[i], p) >= 0:
-            total += 0.5**i * weight(q_tokens[i])
-    return total
+    # One sum() in index order, as in the definition: since Python 3.12 sum()
+    # of floats is compensated, so a += loop differs from it in the last bits.
+    return sum((0.5**i * weight(q[i]) for i in _ordered_hits(q, p)), 0.0)
 
 
-def score_sc(q: Query | Sequence[str], p: Sequence[str]) -> float:
+def score_sc(q: Sequence[str], p: Sequence[str]) -> float:
     """Decayed fraction of candidate tokens that occur in the query."""
-    q_tokens = _tokens_of(q)
-    p_tokens = tuple(p)
-    if not p_tokens:
+    if not p:
         return 0.0
-    limit = _ordered_prefix_end(p_tokens, q_tokens)
-    numerator = sum(0.5**j for j in range(limit + 1) if map_token(p_tokens[j], q_tokens) >= 0)
-    denominator = sum(0.5**j for j in range(len(p_tokens)))
-    return numerator / denominator
+    return sum(0.5**j for j in _ordered_hits(p, q)) / sum(0.5**j for j in range(len(p)))
 
 
-def score_sb(q: Query | Sequence[str], p: Sequence[str]) -> float:
+def score_sb(q: Sequence[str], p: Sequence[str]) -> float:
     """Bonus when the candidate occurs contiguously inside the query."""
-    q_tokens = _tokens_of(q)
+    q_tokens = tuple(q)
     p_tokens = tuple(p)
     if not p_tokens or not q_tokens or len(p_tokens) > len(q_tokens):
         return 0.0
@@ -202,7 +184,7 @@ def score_sb(q: Query | Sequence[str], p: Sequence[str]) -> float:
     return numerator / denominator
 
 
-def score(q: Query | Sequence[str], p: Sequence[str], weight: Callable[[str], float]) -> float:
+def score(q: Sequence[str], p: Sequence[str], weight: Callable[[str], float]) -> float:
     return score_sq(q, p, weight) * score_sc(q, p) + score_sb(q, p)
 
 
@@ -282,7 +264,7 @@ def load_abbreviations(path: str | Path) -> dict[str, tuple[str, ...]]:
 
 
 def load_weight_overrides(path: str | Path) -> dict[str, float]:
-    """Override file: TOKEN<TAB>weight, one per line; weights must be >= 0."""
+    """Override file: TOKEN<TAB>weight, one per line; weights must be >= 0 (not NaN)."""
     overrides: dict[str, float] = {}
     for number, line in entry_lines(path):
         token, sep, value = line.partition("\t")
@@ -292,7 +274,7 @@ def load_weight_overrides(path: str | Path) -> dict[str, float]:
             weight = float(value.strip())
         except ValueError as exc:
             raise ValueError(f"{path}:{number}: bad weight {value.strip()!r}") from exc
-        if weight < 0:
-            raise ValueError(f"{path}:{number}: negative weight")
+        if not weight >= 0:
+            raise ValueError(f"{path}:{number}: weight must be >= 0, got {value.strip()!r}")
         overrides[_clean_token(token.strip().upper())] = weight
     return overrides

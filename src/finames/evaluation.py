@@ -16,9 +16,7 @@ from .er import (
     Corpus,
     ErConfig,
     MatchResult,
-    Query,
     best_candidate,
-    map_token,
     preprocess,
     score,
     score_sc,
@@ -83,30 +81,32 @@ def _overlaps(a_start: int, a_end: int, b_start: int, b_end: int) -> bool:
     return a_start < b_end and b_start < a_end
 
 
-def _check_gold(gold: Sequence[GoldMention]) -> None:
+def _gold_by_doc(gold: Sequence[GoldMention]) -> dict[str, list[GoldMention]]:
+    """Gold spans grouped by document, each group in input order; overlapping
+    spans within a document raise."""
     by_doc: dict[str, list[GoldMention]] = {}
     for g in gold:
         by_doc.setdefault(g.doc_id, []).append(g)
     for doc_id, spans in by_doc.items():
-        spans.sort(key=lambda g: g.start)
-        for first, second in zip(spans, spans[1:]):
+        ordered = sorted(spans, key=lambda g: g.start)
+        for first, second in zip(ordered, ordered[1:]):
             if _overlaps(first.start, first.end, second.start, second.end):
                 raise ValueError(f"overlapping gold spans in {doc_id}: {first} / {second}")
+    return by_doc
 
 
 def label_mentions(
     mentions: Iterable[tuple[str, int, int]], gold: Sequence[GoldMention]
 ) -> list[LabeledMention]:
     """Classify extracted spans against gold: exact span match is correct, any
-    overlap is partial, no overlap is wrong."""
-    _check_gold(gold)
+    overlap is partial (recording the last overlapping gold span in input
+    order), no overlap is wrong."""
+    gold_by_doc = _gold_by_doc(gold)
     labeled = []
     for doc_id, start, end in mentions:
         label = WRO
         gold_span: tuple[int, int] | None = None
-        for g in gold:
-            if g.doc_id != doc_id:
-                continue
+        for g in gold_by_doc.get(doc_id, ()):
             if g.start == start and g.end == end:
                 label = CORRECT
                 gold_span = (g.start, g.end)
@@ -123,16 +123,17 @@ def label_mentions(
 
 def count(labeled: Sequence[LabeledMention], gold: Sequence[GoldMention]) -> EvalCounts:
     """Tally ALL/WRO/PAR from labels and MIS from untouched gold mentions."""
-    _check_gold(gold)
+    _gold_by_doc(gold)
     wro = sum(1 for m in labeled if m.label == WRO)
     par = sum(1 for m in labeled if m.label == PAR)
-    mis = 0
-    for g in gold:
-        touched = any(
-            m.doc_id == g.doc_id and _overlaps(m.start, m.end, g.start, g.end) for m in labeled
-        )
-        if not touched:
-            mis += 1
+    spans_by_doc: dict[str, list[tuple[int, int]]] = {}
+    for m in labeled:
+        spans_by_doc.setdefault(m.doc_id, []).append((m.start, m.end))
+    mis = sum(
+        1
+        for g in gold
+        if not any(_overlaps(start, end, g.start, g.end) for start, end in spans_by_doc.get(g.doc_id, ()))
+    )
     return EvalCounts(all=len(labeled), wro=wro, par=par, mis=mis)
 
 
@@ -210,23 +211,21 @@ def pr_curve(labeled_scores: Iterable[tuple[float, bool]]) -> list[PrPoint]:
     return points
 
 
-def baseline_score(variant: str, q: Query | Sequence[str], p: Sequence[str], corpus: Corpus) -> float:
+def baseline_score(variant: str, q: Sequence[str], p: Sequence[str], corpus: Corpus) -> float:
     """Reduced forms of the ranking score used as baselines.
 
     ``idf`` ignores decay and order, ``sq`` is the decayed weighted sum alone,
     ``sqsc`` multiplies in candidate coverage, ``full`` is the production score.
     """
-    q_tokens = q.tokens if isinstance(q, Query) else tuple(q)
-    p_tokens = tuple(p)
     weight = corpus.weight
     if variant == "idf":
-        return sum(weight(tok) for tok in q_tokens if map_token(tok, p_tokens) >= 0)
+        return sum(weight(tok) for tok in q if tok in p)
     if variant == "sq":
-        return score_sq(q_tokens, p_tokens, weight)
+        return score_sq(q, p, weight)
     if variant == "sqsc":
-        return score_sq(q_tokens, p_tokens, weight) * score_sc(q_tokens, p_tokens)
+        return score_sq(q, p, weight) * score_sc(q, p)
     if variant == "full":
-        return score(q_tokens, p_tokens, weight)
+        return score(q, p, weight)
     raise ValueError(f"unknown variant {variant!r}; expected one of {SCORE_VARIANTS}")
 
 

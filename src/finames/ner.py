@@ -227,6 +227,8 @@ def filter_by_role_keyword(
     wanted = {k.upper() for k in (keywords if keywords is not None else DEFAULT_ROLE_KEYWORDS)}
     if not wanted:
         raise ValueError("role keyword set is empty")
+    if window < 0:
+        raise ValueError(f"role window must be >= 0, got {window}")
     tokens = tokenize(doc)
     starts = [tok.start for tok in tokens]
     kept = []

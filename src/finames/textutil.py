@@ -74,11 +74,6 @@ def join_tokens(tokens: Sequence[str]) -> str:
     return "".join(parts)
 
 
-def normalize_text(text: str) -> str:
-    """Canonical uppercase form: no control characters, collapsed whitespace."""
-    return join_tokens(name_tokens(text))
-
-
 def collapse_whitespace(text: str) -> str:
     return " ".join(text.split())
 

@@ -98,6 +98,46 @@ def ob_resolve(
 
 
 # ---------------------------------------------------------------------------
+# Extraction bookkeeping
+
+
+def ob_overlaps(a_start: int, a_end: int, b_start: int, b_end: int) -> bool:
+    return a_start < b_end and b_start < a_end
+
+
+def ob_label_mentions(mentions: Sequence[tuple[str, int, int]], gold: Sequence) -> list[tuple]:
+    """(doc, start, end, label, gold start, gold end) per mention, comparing
+    with every gold span of every document: an exact span is CORRECT, else
+    the last overlapping gold span in input order makes it PAR, else WRO."""
+    labeled = []
+    for doc_id, start, end in mentions:
+        label, gold_span = "WRO", (None, None)
+        for g in gold:
+            if g.doc_id != doc_id:
+                continue
+            if (g.start, g.end) == (start, end):
+                label, gold_span = "CORRECT", (g.start, g.end)
+                break
+            if ob_overlaps(start, end, g.start, g.end):
+                label, gold_span = "PAR", (g.start, g.end)
+        labeled.append((doc_id, start, end, label, *gold_span))
+    return labeled
+
+
+def ob_count(labeled: Sequence, gold: Sequence) -> tuple[int, int, int, int]:
+    """(ALL, WRO, PAR, MIS); a gold span is missing when no labelled mention
+    of any document overlaps it in its own document."""
+    mis = sum(
+        1
+        for g in gold
+        if not any(m.doc_id == g.doc_id and ob_overlaps(m.start, m.end, g.start, g.end) for m in labeled)
+    )
+    wro = sum(1 for m in labeled if m.label == "WRO")
+    par = sum(1 for m in labeled if m.label == "PAR")
+    return len(labeled), wro, par, mis
+
+
+# ---------------------------------------------------------------------------
 # Dictionary matching
 
 

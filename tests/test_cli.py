@@ -305,6 +305,43 @@ def test_bad_config_value_names_file_and_line(tmp_path, capsys, line):
     assert f"error: {config}:2: bad {key} " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config", "weight_overrides"])
+def test_nan_threshold_or_weight_exits_2(workspace, capsys, source):
+    # NaN fails every comparison: it used to pass the >= 0 checks, and then
+    # mark every mention unmatched or lose every ranking comparison.
+    tmp_path, config, doc = workspace
+    mentions = tmp_path / "m.tsv"
+    mentions.write_text("doc1.txt\t0\t16\tBODY\tGranite Harbor Bank\n", encoding="utf-8")
+    args = ["resolve", "--config", str(config), str(mentions)]
+    weights = tmp_path / "weights.tsv"
+    weights.write_text("BANK\tnan\n", encoding="utf-8")
+    if source == "flag":
+        args += ["--threshold", "nan"]
+    elif source == "config":
+        config.write_text(config.read_text(encoding="utf-8") + "threshold = nan\n", encoding="utf-8")
+    else:
+        config.write_text(config.read_text(encoding="utf-8") + f"weight_overrides = {weights}\n", encoding="utf-8")
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "must be >= 0" in err
+    if source == "weight_overrides":
+        assert f"{weights}:1:" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_role_window_exits_2(workspace, capsys, source):
+    tmp_path, config, doc = workspace
+    assert run_build(config) == 0
+    out_path = tmp_path / "mentions.tsv"
+    args = ["extract", "--config", str(config), "--role-filter", "--output", str(out_path), str(doc)]
+    if source == "flag":
+        args += ["--window", "-1"]
+    else:
+        config.write_text(config.read_text(encoding="utf-8") + "window = -2\n", encoding="utf-8")
+    assert main(args) == 2
+    assert "role window must be >= 0" in capsys.readouterr().err
+
+
 def test_end_to_end_determinism(workspace, capsys):
     tmp_path, config, doc = workspace
     outputs = []

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finames.er import ErConfig, Query, best_match, build_corpus, preprocess
+from finames.er import ErConfig, best_match, build_corpus, preprocess
 from finames.evaluation import (
     CORRECT,
     PAR,
@@ -23,7 +23,7 @@ from finames.evaluation import (
 )
 from finames.ingest import name_list_from_strings
 
-from oracles import ob_best_match
+from oracles import ob_best_match, ob_count, ob_label_mentions
 
 PLAIN = ErConfig(threshold=0.0, stop_words=frozenset(), abbreviations={})
 
@@ -90,6 +90,43 @@ def test_label_mentions_classifies():
 def approx_pct(value, pct):
     assert value is not None
     assert abs(100 * value - pct) < 0.01
+
+
+DOCS = ("d0", "d1", "d2")
+
+
+@st.composite
+def gold_and_mentions(draw):
+    gold = []
+    for doc in DOCS:
+        # sorted distinct cut points, paired up: disjoint spans per document
+        cuts = sorted(draw(st.lists(st.integers(0, 30), max_size=8, unique=True)))
+        gold += [GoldMention(doc, a, b) for a, b in zip(cuts[::2], cuts[1::2])]
+    gold = draw(st.permutations(gold))
+    # "d3" has no gold; long spans overlap several gold spans
+    anywhere = st.builds(
+        lambda doc, start, length: (doc, start, start + length),
+        st.sampled_from(DOCS + ("d3",)), st.integers(0, 30), st.integers(1, 30),
+    )
+    picks = [anywhere]
+    if gold:
+        one = st.sampled_from(gold)
+        exact = one.map(lambda g: (g.doc_id, g.start, g.end))
+        # from one gold span to past another: overlaps both when they share a document
+        bridge = st.builds(lambda a, b: (a.doc_id, min(a.start, b.start), max(a.end, b.end) + 1), one, one)
+        picks += [exact, bridge]
+    mentions = draw(st.lists(st.one_of(*picks), max_size=20))
+    mentions += draw(st.lists(st.sampled_from(mentions), max_size=3)) if mentions else []
+    return gold, mentions
+
+
+@settings(max_examples=200)
+@given(case=gold_and_mentions())
+def test_labelling_and_counts_match_all_pairs_oracle(case):
+    gold, mentions = case
+    labeled = label_mentions(mentions, gold)
+    assert labeled == [LabeledMention(*row) for row in ob_label_mentions(mentions, gold)]
+    assert count(labeled, gold) == EvalCounts(*ob_count(labeled, gold))
 
 
 def test_metrics_dict_based_both_row():
@@ -185,7 +222,7 @@ def test_pr_curve_recall_non_decreasing():
 def test_full_variant_equals_resolver_score():
     corpus = build_corpus(name_list_from_strings(["WELLS FARGO", "ALPHA BANK"], "c"), PLAIN)
     result = best_match("WELLS FARGO BANK", corpus, PLAIN)
-    value = baseline_score("full", result.query, corpus.tokens[result.entry_id], corpus)
+    value = baseline_score("full", result.query.tokens, corpus.tokens[result.entry_id], corpus)
     assert value == pytest.approx(result.score)
 
 
@@ -197,8 +234,8 @@ def test_idf_order_invariant_sq_not():
         ErConfig(threshold=0.0, stop_words=frozenset(), abbreviations={}, weight_overrides=weight_one),
     )
     p = ("ALPHA",)
-    q_forward = Query("q", ("ALPHA", "BRAVO"))
-    q_backward = Query("q", ("BRAVO", "ALPHA"))
+    q_forward = ("ALPHA", "BRAVO")
+    q_backward = ("BRAVO", "ALPHA")
     assert baseline_score("idf", q_forward, p, corpus) == pytest.approx(1.0)
     assert baseline_score("idf", q_backward, p, corpus) == pytest.approx(1.0)
     assert baseline_score("sq", q_forward, p, corpus) == pytest.approx(1.0)
