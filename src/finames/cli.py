@@ -168,6 +168,8 @@ def _parse_sections(value: str) -> set[str]:
     unknown = wanted - set(SECTION_LABELS)
     if unknown:
         raise CliError(f"unknown sections: {sorted(unknown)}")
+    if not wanted:
+        raise CliError(f"no sections selected: {value!r}")
     return wanted
 
 
@@ -209,7 +211,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def _read_tsv(path: Path, columns: int, expected: str, spans: bool = True) -> list[list]:
     """Non-blank rows of a tab-separated file with at least ``columns`` columns;
-    with ``spans``, columns 2 and 3 are parsed as integer offsets."""
+    with ``spans``, columns 2 and 3 are parsed as offsets with 0 <= start < end."""
     rows = []
     for number, line in enumerate(read_utf8(path).splitlines(), start=1):
         if not line.strip():
@@ -222,6 +224,8 @@ def _read_tsv(path: Path, columns: int, expected: str, spans: bool = True) -> li
                 parts[1], parts[2] = int(parts[1]), int(parts[2])
             except ValueError:
                 raise CliError(f"{path}:{number}: start/end are not integers")
+            if not 0 <= parts[1] < parts[2]:
+                raise CliError(f"{path}:{number}: bad span")
         rows.append(parts)
     return rows
 

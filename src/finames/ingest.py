@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .textutil import TokenSeq, entry_lines, join_tokens, name_tokens
+from .textutil import TOKEN, RawToken, TokenSeq, entry_lines, join_tokens, name_tokens
 
 logger = logging.getLogger(__name__)
 
@@ -120,6 +121,14 @@ class Document:
     doc_id: str
     raw_text: str
     sections: tuple[Section, ...]
+
+    @cached_property
+    def tokens(self) -> tuple[RawToken, ...]:
+        """Uppercased ``TOKEN`` matches of ``raw_text`` with their offsets, cut on
+        first use and kept (not a field: equality and hashing ignore it). Each
+        token is uppercased on its own; uppercasing the whole text first would
+        move the offsets after a character such as "ß" that uppercases to two."""
+        return tuple([RawToken(m.group().upper(), m.start(), m.end()) for m in TOKEN.finditer(self.raw_text)])
 
     def section_at(self, offset: int) -> str:
         for section in self.sections:

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .dict_gen import RootDictionary, SuffixDictionary, SuffixPattern, load_suffix_dictionary, load_token_entries
 from .ingest import Document
-from .textutil import RawToken, TokenSeq, collapse_whitespace, iter_raw_tokens, name_tokens
+from .textutil import RawToken, TokenSeq, collapse_whitespace, name_tokens
 
 DEFAULT_ROLE_KEYWORDS = frozenset(
     {"SERVICER", "SERVICERS", "ISSUER", "SPONSOR", "DEPOSITOR", "TRUSTEE", "UNDERWRITER", "ORIGINATOR"}
@@ -26,8 +26,9 @@ _PUNCT = string.punctuation
 
 
 def tokenize(doc: Document) -> tuple[RawToken, ...]:
-    """Uppercased whitespace tokens with offsets; commas become own tokens."""
-    return tuple(iter_raw_tokens(doc.raw_text))
+    """Uppercased tokens of the document with their offsets (``textutil.TOKEN``);
+    cut once per document and shared by extraction and the role filter."""
+    return doc.tokens
 
 
 @dataclass(frozen=True)

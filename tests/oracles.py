@@ -185,3 +185,35 @@ def ob_extract_spans(
         spans.append((start, root_end, end))
         pos = end
     return spans
+
+
+# ---------------------------------------------------------------------------
+# Tokenizing
+
+
+def ob_tokens(text: str) -> list[tuple[str, int, int]]:
+    """Character loop: (uppercased token, start, end) for every maximal run of
+    characters that are neither separators nor commas, and for every comma.
+    A separator is a character with ``str.isspace()``, a code point below 32,
+    or code point 127."""
+
+    def separator(ch: str) -> bool:
+        return ch.isspace() or ord(ch) < 32 or ord(ch) == 127
+
+    tokens: list[tuple[str, int, int]] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        if separator(text[i]):
+            i += 1
+            continue
+        if text[i] == ",":
+            tokens.append((",", i, i + 1))
+            i += 1
+            continue
+        j = i
+        while j < n and not separator(text[j]) and text[j] != ",":
+            j += 1
+        tokens.append((text[i:j].upper(), i, j))
+        i = j
+    return tokens

@@ -165,6 +165,15 @@ def test_extract_undecodable_document_skipped(workspace, capsys):
     assert out_path.read_text(encoding="utf-8") == good.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("sections", [",", ""])
+def test_extract_no_sections_selected_exits_2(workspace, capsys, sections):
+    tmp_path, config, doc = workspace
+    assert run_build(config) == 0
+    capsys.readouterr()
+    assert main(["extract", "--config", str(config), "--sections", sections, str(doc)]) == 2
+    assert "no sections selected" in capsys.readouterr().err
+
+
 def test_extract_no_documents(workspace, capsys):
     tmp_path, config, doc = workspace
     assert run_build(config) == 0
@@ -263,6 +272,25 @@ def test_eval_overlapping_gold_exits_2(workspace, capsys):
     assert main(["eval", str(mentions), str(gold)]) == 2
 
 
+@pytest.mark.parametrize("start, end", [(30, 5), (-5, -1), (7, 7)])
+@pytest.mark.parametrize("bad_file", ["mentions", "gold"])
+def test_eval_bad_span_exits_2(workspace, capsys, bad_file, start, end):
+    tmp_path, config, doc = workspace
+    mentions = tmp_path / "m.tsv"
+    gold = tmp_path / "gold.tsv"
+    mention_rows = ["doc1.txt\t0\t10\tBODY\tX"]
+    gold_rows = ["doc1.txt\t0\t10\tX"]
+    if bad_file == "mentions":
+        mention_rows.append(f"doc1.txt\t{start}\t{end}\tBODY\tY")
+    else:
+        gold_rows.append(f"doc1.txt\t{start}\t{end}\tY")
+    mentions.write_text("".join(row + "\n" for row in mention_rows), encoding="utf-8")
+    gold.write_text("".join(row + "\n" for row in gold_rows), encoding="utf-8")
+    assert main(["eval", str(mentions), str(gold)]) == 2
+    bad = mentions if bad_file == "mentions" else gold
+    assert f"error: {bad}:2: bad span" in capsys.readouterr().err
+
+
 def test_pr_curve_variants(workspace, capsys):
     tmp_path, config, doc = workspace
     labeled = tmp_path / "labeled.tsv"
@@ -340,6 +368,19 @@ def test_negative_role_window_exits_2(workspace, capsys, source):
         config.write_text(config.read_text(encoding="utf-8") + "window = -2\n", encoding="utf-8")
     assert main(args) == 2
     assert "role window must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bom_file", ["name_list", "config"])
+def test_leading_bom_of_line_file_ignored(workspace, capsys, bom_file):
+    # Read as data, the mark used to glue itself to the first root
+    # ("\ufeffGRANITE HARBOR") or make the first config line malformed.
+    tmp_path, config, doc = workspace
+    assert run_build(config) == 0
+    plain = extract_to(tmp_path, config, doc, "plain.tsv").read_text(encoding="utf-8")
+    path = tmp_path / "names.txt" if bom_file == "name_list" else config
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert run_build(config) == 0
+    assert extract_to(tmp_path, config, doc, "bom.tsv").read_text(encoding="utf-8") == plain
 
 
 def test_end_to_end_determinism(workspace, capsys):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from finames.dict_gen import RootDictionary, SuffixDictionary, SuffixPattern
 from finames.ingest import document_from_text, name_list_from_strings
@@ -15,7 +17,7 @@ from finames.ner import (
 )
 from finames.textutil import name_tokens
 
-from oracles import ob_extract_spans
+from oracles import ob_extract_spans, ob_tokens
 
 
 def doc(text, doc_id="d"):
@@ -34,10 +36,9 @@ def suffixes_of(*entries, patterns=()):
 # tokenize
 
 
-def test_tokenize_newline_flag():
+def test_tokenize_line_break_separates():
     stream = tokenize(doc("Wells\nFargo Bank"))
     assert [t.text for t in stream] == ["WELLS", "FARGO", "BANK"]
-    assert [t.preceded_by_newline for t in stream] == [False, True, False]
 
 
 def test_tokenize_empty():
@@ -63,6 +64,31 @@ def test_tokenize_offsets_strictly_increasing():
     spans = [(t.start, t.end) for t in stream]
     assert all(a_end <= b_start for (_, a_end), (b_start, _) in zip(spans, spans[1:]))
     assert all(start < end for start, end in spans)
+
+
+def test_document_tokenized_once():
+    d = doc("Wells Fargo Bank, N.A.")
+    assert tokenize(d) is tokenize(d)
+    twin = doc("Wells Fargo Bank, N.A.")
+    assert twin == d and hash(twin) == hash(d)
+    assert tokenize(twin) == tokenize(d)
+    assert tokenize(twin) is not tokenize(d)
+
+
+# Separators and near-separators: ASCII controls, DEL, NEL, no-break space,
+# line separator, ideographic space, the byte-order mark and zero-width space
+# (neither is whitespace), and letters whose uppercase is longer.
+_TRICKY = [",", " ", "\x7f", "\x85", "\xa0", "\u2028", "\u3000", "\ufeff", "\u200b", "ß", "ŉ", "a", "Z"]
+_TRICKY += [chr(c) for c in range(32)]
+
+
+@given(st.text(st.sampled_from(_TRICKY) | st.characters()))
+@example("straße, x")
+@example("A\x7fb\x85c\xa0d\u2028e\u3000f,,g\x00h\x1fi")
+def test_token_rule_equals_character_loop_oracle(text):
+    want = ob_tokens(text)
+    assert [tuple(t) for t in tokenize(doc(text))] == want
+    assert list(name_tokens(text)) == [t for t, _, _ in want]
 
 
 # ---------------------------------------------------------------------------
