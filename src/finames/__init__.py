@@ -5,14 +5,7 @@ mentions from documents by root matching plus suffix extension, resolve the
 mentions against a normalized corpus with a ranked scoring function, and
 measure the results.
 """
-from .dict_gen import (
-    FilterSet,
-    RootDictionary,
-    SuffixDictionary,
-    SuffixPattern,
-    apply_filters,
-    generate_dictionaries,
-)
+from .dict_gen import RootDictionary, SuffixDictionary, SuffixPattern, apply_filters, generate_dictionaries
 from .er import Corpus, ErConfig, MatchResult, Query, best_match, build_corpus, preprocess, resolve
 from .evaluation import EvalCounts, GoldMention, LabeledMention, MetricReport, PrPoint, count, metrics, pr_curve
 from .ingest import (
@@ -25,18 +18,16 @@ from .ingest import (
     normalize_name,
     strip_trailing_garbage,
 )
-from .ner import CustomizationDictionaries, Extractor, Mention, extract, filter_by_role_keyword, tokenize
+from .ner import Extractor, Mention, filter_by_role_keyword, tokenize
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Corpus",
-    "CustomizationDictionaries",
     "Document",
     "ErConfig",
     "EvalCounts",
     "Extractor",
-    "FilterSet",
     "GoldMention",
     "LabeledMention",
     "MatchResult",
@@ -54,7 +45,6 @@ __all__ = [
     "best_match",
     "build_corpus",
     "count",
-    "extract",
     "filter_by_role_keyword",
     "generate_dictionaries",
     "load_document",

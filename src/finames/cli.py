@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import dict_gen, er, evaluation, ner
-from .dict_gen import BUILTIN_SUFFIX_PATTERNS, FilterSet, generate_dictionaries
+from .dict_gen import BUILTIN_SUFFIX_PATTERNS, RootDictionary, SuffixDictionary, generate_dictionaries
 from .ingest import (
     DEFAULT_HEADER_MARKERS,
     DEFAULT_SUMMARY_END_MARKERS,
@@ -22,7 +22,7 @@ from .ingest import (
     load_document,
     load_name_list,
 )
-from .ner import DEFAULT_ROLE_KEYWORDS, DEFAULT_ROLE_WINDOW, CustomizationDictionaries
+from .ner import DEFAULT_ROLE_KEYWORDS, DEFAULT_ROLE_WINDOW
 from .textutil import entry_lines, read_utf8
 
 SECTION_LABELS = ("HEADER", "SUMMARY", "BODY")
@@ -140,7 +140,7 @@ def cmd_build_dicts(args: argparse.Namespace) -> int:
     patterns = list(BUILTIN_SUFFIX_PATTERNS)
     if config.patterns:
         patterns.extend(dict_gen.load_suffix_patterns(_existing(config.patterns, "patterns")))
-    roots, suffixes = generate_dictionaries(lists, FilterSet(), patterns=tuple(patterns))
+    roots, suffixes = generate_dictionaries(lists, patterns=tuple(patterns))
     if args.output:
         # --output names the directory; configured paths contribute the file names
         args.output.mkdir(parents=True, exist_ok=True)
@@ -177,12 +177,21 @@ def cmd_extract(args: argparse.Namespace) -> int:
     config = _load_config(args)
     roots = dict_gen.load_root_dictionary(_existing(config.root_dict, "root dictionary"))
     suffixes = dict_gen.load_suffix_dictionary(_existing(config.suffix_dict, "suffix dictionary"))
-    custom = CustomizationDictionaries.from_files(
-        _existing(config.custom_roots, "custom roots") if config.custom_roots else None,
-        _existing(config.custom_suffixes, "custom suffixes") if config.custom_suffixes else None,
-        _existing(config.invalid_elements, "invalid elements") if config.invalid_elements else None,
-    )
-    extractor = ner.Extractor(roots, suffixes, custom)
+    # Customizations are more entries for the same dictionaries.
+    custom_roots = invalid = frozenset()
+    custom_suffixes = SuffixDictionary(frozenset())
+    if config.custom_roots:
+        custom_roots = dict_gen.load_token_entries(_existing(config.custom_roots, "custom roots"))
+    if config.custom_suffixes:
+        custom_suffixes = dict_gen.load_suffix_dictionary(_existing(config.custom_suffixes, "custom suffixes"))
+    if config.invalid_elements:
+        invalid = dict_gen.load_token_entries(_existing(config.invalid_elements, "invalid elements"))
+    overlap = invalid & (custom_roots | custom_suffixes.literal_entries)
+    if overlap:
+        raise CliError(f"invalid elements overlap custom dictionaries: {sorted(overlap)}")
+    literals = suffixes.literal_entries | custom_suffixes.literal_entries
+    patterns = suffixes.pattern_entries + custom_suffixes.pattern_entries
+    extractor = ner.Extractor(RootDictionary(roots.entries | custom_roots), SuffixDictionary(literals, patterns), invalid)
     section_config = config.section_config()
     wanted_sections = _parse_sections(args.sections)
     keywords = frozenset(k.upper() for k in config.role_keywords)

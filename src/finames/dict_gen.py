@@ -15,8 +15,7 @@ token-level class: literal tokens, ``\\d{n}`` for a run of exactly n digits,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -24,11 +23,11 @@ from typing import Iterable, Sequence
 from .ingest import MIN_NAME_LENGTH, NameList, NormalizedName, normalize_name, strip_trailing_garbage
 from .textutil import COMMA, TokenSeq, entry_lines, join_tokens, name_tokens
 
-DEFAULT_STOP_TOKENS = frozenset({"THE", "OF", "AND", "A", "AN"})
+STOP_TOKENS = frozenset({"THE", "OF", "AND", "A", "AN"})
 
-DEFAULT_SPECIAL_TOKENS = frozenset({"BANK", "FUND", "TRUST", "CORP", "GROUP"})
+SPECIAL_TOKENS = frozenset({"BANK", "FUND", "TRUST", "CORP", "GROUP"})
 
-DEFAULT_ADDRESS_TERMS = frozenset(
+ADDRESS_TERMS = frozenset(
     {
         "STREET", "AVENUE", "ROAD", "BOULEVARD", "CENTER", "CENTRE", "PLAZA",
         "SQUARE", "SUITE", "FLOOR", "BUILDING", "TOWER", "DRIVE", "LANE",
@@ -36,7 +35,7 @@ DEFAULT_ADDRESS_TERMS = frozenset(
     }
 )
 
-DEFAULT_LOCATION_TERMS = frozenset(
+LOCATION_TERMS = frozenset(
     {
         "ALABAMA", "ALASKA", "ARIZONA", "ARKANSAS", "CALIFORNIA", "COLORADO",
         "CONNECTICUT", "DELAWARE", "FLORIDA", "GEORGIA", "HAWAII", "IDAHO",
@@ -51,6 +50,7 @@ DEFAULT_LOCATION_TERMS = frozenset(
         "PHILADELPHIA", "PHOENIX", "PITTSBURGH", "SEATTLE",
     }
 )
+_SINGLE_TOKEN_DROPS = ADDRESS_TERMS | LOCATION_TERMS
 
 # A comma-separated middle fragment is worth keeping as a root on its own
 # only when it is long; short fragments are state abbreviations and the like.
@@ -88,51 +88,42 @@ def _translate_pattern_token(token: str) -> str:
     return "".join(out)
 
 
-@lru_cache(maxsize=None)
-def _compile_pattern(pattern_text: str) -> tuple[re.Pattern[str], ...]:
-    tokens = pattern_text.split()
-    if not tokens:
-        raise ValueError("empty suffix pattern")
-    return tuple(re.compile(_translate_pattern_token(tok)) for tok in tokens)
-
-
 @dataclass(frozen=True)
 class SuffixPattern:
-    """Token-sequence pattern for suffixes that mix keywords and numbering."""
+    """Token-sequence pattern for suffixes that mix keywords and numbering,
+    compiled once; a bad pattern or a missed positive example raises ValueError."""
 
     pattern_text: str
     positive_examples: tuple[str, ...] = ()
+    _matchers: tuple[re.Pattern[str], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _compile_pattern(self.pattern_text)
+        tokens = self.pattern_text.split()
+        if not tokens:
+            raise ValueError("empty suffix pattern")
+        try:
+            matchers = tuple(re.compile(_translate_pattern_token(tok)) for tok in tokens)
+        except (re.error, OverflowError) as exc:
+            raise ValueError(f"{self.pattern_text!r}: {exc}") from None
+        object.__setattr__(self, "_matchers", matchers)
         for example in self.positive_examples:
             if not self.matches(name_tokens(example)):
                 raise ValueError(f"pattern {self.pattern_text!r} does not match its example {example!r}")
 
     @property
     def token_count(self) -> int:
-        return len(_compile_pattern(self.pattern_text))
+        return len(self._matchers)
 
     def matches(self, tokens: Sequence[str]) -> bool:
-        matchers = _compile_pattern(self.pattern_text)
-        if len(tokens) != len(matchers):
+        if len(tokens) != len(self._matchers):
             return False
-        return all(m.fullmatch(t) for m, t in zip(matchers, tokens))
+        return all(m.fullmatch(t) for m, t in zip(self._matchers, tokens))
 
 
 BUILTIN_SUFFIX_PATTERNS = (
     SuffixPattern(r"SERIES \d{4}-[A-Z0-9]+", ("SERIES 2005-HE3",)),
     SuffixPattern(r"TRUST \d{4}-[A-Z0-9]+", ("TRUST 2006-1", "TRUST 2006-A1")),
 )
-
-
-@dataclass(frozen=True)
-class FilterSet:
-    """Token sets used to weed address terms, place names and stop-only entries."""
-
-    address_terms: frozenset[str] = DEFAULT_ADDRESS_TERMS
-    location_terms: frozenset[str] = DEFAULT_LOCATION_TERMS
-    stop_tokens: frozenset[str] = DEFAULT_STOP_TOKENS
 
 
 @dataclass(frozen=True)
@@ -248,9 +239,7 @@ def root_variants(name: NormalizedName, suffix: TokenSeq | None = None) -> list[
     return variants
 
 
-def split_on_special_token(
-    name: NormalizedName, special_tokens: frozenset[str] = DEFAULT_SPECIAL_TOKENS
-) -> tuple[TokenSeq | None, TokenSeq | None] | None:
+def split_on_special_token(name: NormalizedName) -> tuple[TokenSeq | None, TokenSeq | None] | None:
     """Split at the first type keyword (BANK, FUND, ...) into root and suffix.
 
     Normally the part before the keyword is the root and the keyword plus the
@@ -258,7 +247,7 @@ def split_on_special_token(
     to the root instead and no suffix is produced.
     """
     tokens = name.tokens
-    idx = next((i for i, tok in enumerate(tokens) if tok in special_tokens), None)
+    idx = next((i for i, tok in enumerate(tokens) if tok in SPECIAL_TOKENS), None)
     if idx is None:
         return None
     before = _strip_edge_commas(tokens[:idx])
@@ -270,7 +259,7 @@ def split_on_special_token(
     return (before or None, tokens[idx:])
 
 
-def trigram_roots(name: NormalizedName, stop_tokens: frozenset[str] = DEFAULT_STOP_TOKENS) -> set[TokenSeq]:
+def trigram_roots(name: NormalizedName) -> set[TokenSeq]:
     """All 3-token windows of a long name that contain no stop token or comma."""
     tokens = name.tokens
     if len(tokens) < _TRIGRAM_MIN_TOKENS:
@@ -278,13 +267,13 @@ def trigram_roots(name: NormalizedName, stop_tokens: frozenset[str] = DEFAULT_ST
     windows: set[TokenSeq] = set()
     for i in range(len(tokens) - 2):
         window = tokens[i : i + 3]
-        if any(tok in stop_tokens or tok == COMMA for tok in window):
+        if any(tok in STOP_TOKENS or tok == COMMA for tok in window):
             continue
         windows.add(window)
     return windows
 
 
-def apply_filters(entries: Iterable[TokenSeq], filters: FilterSet) -> set[TokenSeq]:
+def apply_filters(entries: Iterable[TokenSeq]) -> set[TokenSeq]:
     """Drop single-token address/location entries, stop-token-only entries and
     entries whose first token starts with ``#``.
 
@@ -292,15 +281,14 @@ def apply_filters(entries: Iterable[TokenSeq], filters: FilterSet) -> set[TokenS
     such entries are never stored. Never edits inside multi-token entries;
     the result is always a subset of the input.
     """
-    single_bad = filters.address_terms | filters.location_terms
     kept: set[TokenSeq] = set()
     for entry in entries:
         entry = tuple(entry)
         if not entry or entry[0].startswith("#"):
             continue
-        if len(entry) == 1 and entry[0] in single_bad:
+        if len(entry) == 1 and entry[0] in _SINGLE_TOKEN_DROPS:
             continue
-        if all(tok in filters.stop_tokens or tok == COMMA for tok in entry):
+        if all(tok in STOP_TOKENS or tok == COMMA for tok in entry):
             continue
         kept.add(entry)
     return kept
@@ -308,8 +296,6 @@ def apply_filters(entries: Iterable[TokenSeq], filters: FilterSet) -> set[TokenS
 
 def generate_dictionaries(
     lists: Sequence[NameList],
-    filters: FilterSet | None = None,
-    special_tokens: frozenset[str] = DEFAULT_SPECIAL_TOKENS,
     patterns: Sequence[SuffixPattern] = BUILTIN_SUFFIX_PATTERNS,
 ) -> tuple[RootDictionary, SuffixDictionary]:
     """Run every applicable heuristic over each name and union the results.
@@ -318,7 +304,6 @@ def generate_dictionaries(
     pattern entry are not stored twice. Output is deterministic for a fixed
     input set.
     """
-    filters = filters or FilterSet()
     roots: set[TokenSeq] = set()
     suffixes: set[TokenSeq] = set()
     unique_names = sorted({name for lst in lists for name in lst.names})
@@ -339,19 +324,19 @@ def generate_dictionaries(
                 suffixes.add(trailing)
                 suffix_hint = trailing
         roots.update(root_variants(name, suffix_hint))
-        split = split_on_special_token(name, special_tokens)
+        split = split_on_special_token(name)
         if split:
             root_part, suffix_part = split
             if root_part:
                 roots.add(root_part)
             if suffix_part:
                 suffixes.add(suffix_part)
-        roots.update(trigram_roots(name, filters.stop_tokens))
+        roots.update(trigram_roots(name))
     pattern_entries = tuple(sorted(set(patterns), key=lambda p: p.pattern_text))
-    literal = apply_filters(suffixes, filters)
+    literal = apply_filters(suffixes)
     literal = {entry for entry in literal if not any(p.matches(entry) for p in pattern_entries)}
     return (
-        RootDictionary(frozenset(apply_filters(roots, filters))),
+        RootDictionary(frozenset(apply_filters(roots))),
         SuffixDictionary(frozenset(literal), pattern_entries),
     )
 
@@ -383,12 +368,19 @@ def load_root_dictionary(path: str | Path) -> RootDictionary:
     return RootDictionary(load_token_entries(path))
 
 
+def _pattern_at(path: str | Path, number: int, text: str, examples: tuple[str, ...] = ()) -> SuffixPattern:
+    try:
+        return SuffixPattern(text, examples)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{number}: bad pattern: {exc}") from None
+
+
 def load_suffix_dictionary(path: str | Path) -> SuffixDictionary:
     literal: set[TokenSeq] = set()
     patterns: list[SuffixPattern] = []
-    for _, line in entry_lines(path):
+    for number, line in entry_lines(path):
         if line.startswith(PATTERN_PREFIX):
-            patterns.append(SuffixPattern(line[len(PATTERN_PREFIX) :].strip()))
+            patterns.append(_pattern_at(path, number, line[len(PATTERN_PREFIX) :].strip()))
         else:
             tokens = name_tokens(line)
             if tokens:
@@ -399,10 +391,10 @@ def load_suffix_dictionary(path: str | Path) -> SuffixDictionary:
 def load_suffix_patterns(path: str | Path) -> tuple[SuffixPattern, ...]:
     """Pattern file: one pattern per line, optional tab-separated examples."""
     patterns = []
-    for _, line in entry_lines(path):
+    for number, line in entry_lines(path):
         if line.startswith(PATTERN_PREFIX):
             line = line[len(PATTERN_PREFIX) :].strip()
         text, _, examples = line.partition("\t")
         positive = tuple(e.strip() for e in examples.split("|") if e.strip()) if examples else ()
-        patterns.append(SuffixPattern(text.strip(), positive))
+        patterns.append(_pattern_at(path, number, text.strip(), positive))
     return tuple(patterns)

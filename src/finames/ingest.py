@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -145,10 +146,15 @@ class SectionConfig:
     summary_end_markers: tuple[str, ...] = DEFAULT_SUMMARY_END_MARKERS
 
 
-def _first_marker(text_upper: str, markers: Iterable[str], start: int = 0) -> int:
-    hits = [text_upper.find(m.upper(), start) for m in markers]
-    hits = [h for h in hits if h >= 0]
-    return min(hits) if hits else -1
+def _first_marker(text: str, markers: Iterable[str], start: int = 0) -> int:
+    """Offset in ``text`` of the earliest marker at or after ``start``, ignoring
+    case; -1 if none. Searching an uppercased copy instead would shift every
+    offset after a character such as "ß" that uppercases to two."""
+    markers = tuple(markers)
+    if not markers:
+        return -1
+    hit = re.compile("|".join(map(re.escape, markers)), re.IGNORECASE).search(text, start)
+    return hit.start() if hit else -1
 
 
 def segment_text(text: str, config: SectionConfig | None = None) -> tuple[Section, ...]:
@@ -161,14 +167,13 @@ def segment_text(text: str, config: SectionConfig | None = None) -> tuple[Sectio
     if not text:
         return ()
     config = config or SectionConfig()
-    upper = text.upper()
-    split = _first_marker(upper, config.header_markers)
+    split = _first_marker(text, config.header_markers)
     if split < 0:
         return (Section(BODY, 0, len(text)),)
     sections: list[Section] = []
     if split > 0:
         sections.append(Section(HEADER, 0, split))
-    end = _first_marker(upper, config.summary_end_markers, split + 1)
+    end = _first_marker(text, config.summary_end_markers, split + 1)
     if end < 0:
         sections.append(Section(SUMMARY, split, len(text)))
     else:

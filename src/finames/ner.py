@@ -10,12 +10,11 @@ from __future__ import annotations
 import string
 from bisect import bisect_left
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
-from .dict_gen import RootDictionary, SuffixDictionary, SuffixPattern, load_suffix_dictionary, load_token_entries
+from .dict_gen import RootDictionary, SuffixDictionary
 from .ingest import Document
-from .textutil import RawToken, TokenSeq, collapse_whitespace, name_tokens
+from .textutil import RawToken, TokenSeq, collapse_whitespace
 
 DEFAULT_ROLE_KEYWORDS = frozenset(
     {"SERVICER", "SERVICERS", "ISSUER", "SPONSOR", "DEPOSITOR", "TRUSTEE", "UNDERWRITER", "ORIGINATOR"}
@@ -33,51 +32,16 @@ def tokenize(doc: Document) -> tuple[RawToken, ...]:
 
 @dataclass(frozen=True)
 class Mention:
-    """An extracted name occurrence with its root/suffix decomposition."""
+    """An extracted name occurrence with its root/suffix decomposition: the
+    root covers ``start``..``root_end``, each suffix one of ``suffix_spans``."""
 
     doc_id: str
     start: int
     end: int
     surface: str
-    root_start: int
     root_end: int
-    root_surface: str
     suffix_spans: tuple[tuple[int, int], ...]
     section: str
-
-
-@dataclass(frozen=True)
-class CustomizationDictionaries:
-    """User-supplied roots, suffixes and invalid elements layered onto the
-    generated dictionaries."""
-
-    custom_roots: frozenset[TokenSeq] = frozenset()
-    custom_suffixes: frozenset[TokenSeq] = frozenset()
-    invalid_elements: frozenset[TokenSeq] = frozenset()
-    custom_suffix_patterns: tuple[SuffixPattern, ...] = ()
-
-    def __post_init__(self) -> None:
-        overlap = self.invalid_elements & (self.custom_roots | self.custom_suffixes)
-        if overlap:
-            raise ValueError(f"invalid elements overlap custom dictionaries: {sorted(overlap)}")
-
-    @classmethod
-    def from_files(
-        cls,
-        custom_roots: str | Path | None = None,
-        custom_suffixes: str | Path | None = None,
-        invalid_elements: str | Path | None = None,
-    ) -> "CustomizationDictionaries":
-        roots: frozenset[TokenSeq] = frozenset()
-        suffixes = SuffixDictionary(frozenset())
-        invalid: frozenset[TokenSeq] = frozenset()
-        if custom_roots:
-            roots = load_token_entries(custom_roots)
-        if custom_suffixes:
-            suffixes = load_suffix_dictionary(custom_suffixes)
-        if invalid_elements:
-            invalid = load_token_entries(invalid_elements)
-        return cls(roots, suffixes.literal_entries, invalid, suffixes.pattern_entries)
 
 
 class _TokenTrie:
@@ -113,19 +77,22 @@ class _TokenTrie:
 
 
 class Extractor:
-    """Reusable matcher holding the prebuilt root and suffix tries."""
+    """Reusable matcher holding the prebuilt root and suffix tries.
+
+    A match whose whole token sequence, or whose root alone, is in
+    ``invalid`` yields no mention; scanning still resumes after it.
+    """
 
     def __init__(
         self,
         roots: RootDictionary,
         suffixes: SuffixDictionary,
-        customizations: CustomizationDictionaries | None = None,
+        invalid: frozenset[TokenSeq] = frozenset(),
     ) -> None:
-        custom = customizations or CustomizationDictionaries()
-        self._root_trie = _TokenTrie.build(roots.entries | custom.custom_roots)
-        self._suffix_trie = _TokenTrie.build(suffixes.literal_entries | custom.custom_suffixes)
-        self._patterns = tuple(suffixes.pattern_entries) + tuple(custom.custom_suffix_patterns)
-        self._invalid = custom.invalid_elements
+        self._root_trie = _TokenTrie.build(roots.entries)
+        self._suffix_trie = _TokenTrie.build(suffixes.literal_entries)
+        self._patterns = suffixes.pattern_entries
+        self._invalid = invalid
 
     def _next_root(self, texts: Sequence[str], pos: int) -> tuple[int, int] | None:
         for i in range(pos, len(texts)):
@@ -157,57 +124,36 @@ class Extractor:
             hit = self._next_root(texts, pos)
             if hit is None:
                 break
-            root_start, root_end = hit
+            start, root_end = hit
             end, suffix_ranges = self._extend(texts, root_end)
-            mentions.append(_build_mention(doc, tokens, root_start, root_end, end, suffix_ranges))
+            dropped = self._invalid and (
+                tuple(texts[start:end]) in self._invalid or tuple(texts[start:root_end]) in self._invalid
+            )
+            if not dropped:
+                mentions.append(_build_mention(doc, tokens, start, root_end, end, suffix_ranges))
             pos = end
-        return filter_invalid(mentions, self._invalid)
+        return mentions
 
 
 def _build_mention(
     doc: Document,
     tokens: Sequence[RawToken],
-    root_start: int,
+    start: int,
     root_end: int,
     end: int,
     suffix_ranges: tuple[tuple[int, int], ...],
 ) -> Mention:
-    start_char = tokens[root_start].start
+    start_char = tokens[start].start
     end_char = tokens[end - 1].end
-    root_end_char = tokens[root_end - 1].end
     return Mention(
         doc_id=doc.doc_id,
         start=start_char,
         end=end_char,
         surface=collapse_whitespace(doc.raw_text[start_char:end_char]),
-        root_start=start_char,
-        root_end=root_end_char,
-        root_surface=collapse_whitespace(doc.raw_text[start_char:root_end_char]),
+        root_end=tokens[root_end - 1].end,
         suffix_spans=tuple((tokens[i].start, tokens[j - 1].end) for i, j in suffix_ranges),
         section=doc.section_at(start_char),
     )
-
-
-def filter_invalid(mentions: Sequence[Mention], invalid: frozenset[TokenSeq]) -> list[Mention]:
-    """Drop mentions whose full surface or root equals an invalid entry."""
-    if not invalid:
-        return list(mentions)
-    kept = []
-    for mention in mentions:
-        if name_tokens(mention.surface) in invalid or name_tokens(mention.root_surface) in invalid:
-            continue
-        kept.append(mention)
-    return kept
-
-
-def extract(
-    doc: Document,
-    roots: RootDictionary,
-    suffixes: SuffixDictionary,
-    customizations: CustomizationDictionaries | None = None,
-) -> list[Mention]:
-    """Tokenize, match roots, extend suffixes and drop invalid mentions."""
-    return Extractor(roots, suffixes, customizations).extract(doc)
 
 
 def _bare(token_text: str) -> str:

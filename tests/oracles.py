@@ -187,6 +187,21 @@ def ob_extract_spans(
     return spans
 
 
+def ob_filter_invalid(
+    text: str, spans: Sequence[tuple[int, int, int]], invalid: frozenset[tuple[str, ...]]
+) -> list[tuple[int, int, int]]:
+    """Keep the (start, root_end, end) character spans whose surface
+    ``text[start:end]`` and root ``text[start:root_end]``, whitespace-collapsed
+    and tokenized again, are both absent from ``invalid``."""
+    kept = []
+    for start, root_end, end in spans:
+        surface = tuple(t for t, _, _ in ob_tokens(" ".join(text[start:end].split())))
+        root = tuple(t for t, _, _ in ob_tokens(" ".join(text[start:root_end].split())))
+        if surface not in invalid and root not in invalid:
+            kept.append((start, root_end, end))
+    return kept
+
+
 # ---------------------------------------------------------------------------
 # Tokenizing
 

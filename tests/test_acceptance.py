@@ -17,7 +17,7 @@ from finames.dict_gen import RootDictionary, SuffixDictionary, SuffixPattern, ge
 from finames.er import ErConfig, Query, best_match, build_corpus, resolve, score_sb, score_sc, score_sq
 from finames.evaluation import EvalCounts, metrics, pr_curve, variant_best_match
 from finames.ingest import document_from_text, name_list_from_strings
-from finames.ner import extract, tokenize
+from finames.ner import Extractor, tokenize
 from finames.textutil import name_tokens
 
 from oracles import ob_best_match, ob_extract_spans, ob_resolve
@@ -226,11 +226,10 @@ def test_criterion_5_ner_bruteforce_equivalence():
             expected_spans = [
                 (starts[s], ends[root_end - 1], ends[e - 1]) for s, root_end, e in expected
             ]
-            got = extract(
-                doc,
+            got = Extractor(
                 RootDictionary(frozenset(root_entries)),
                 SuffixDictionary(frozenset(suffix_entries), patterns),
-            )
+            ).extract(doc)
             assert [(m.start, m.root_end, m.end) for m in got] == expected_spans, text
         assert time.perf_counter() - started < 30.0
 
@@ -253,7 +252,7 @@ def test_criterion_6_line_break_robustness():
     with criterion(6, "newline inside a planted name changes nothing"):
         names = _planted_names()
         assert len(names) == 100
-        roots, suffixes = generate_dictionaries([name_list_from_strings(names, "planted")])
+        extractor = Extractor(*generate_dictionaries([name_list_from_strings(names, "planted")]))
         rng = random.Random(11)
         changed = 0
         for i, name in enumerate(names):
@@ -261,7 +260,7 @@ def test_criterion_6_line_break_robustness():
             tail = "under certain conditions described elsewhere"
             text = f"{prefix} {name} {tail}"
             doc = document_from_text(f"doc{i}", text)
-            baseline = [(m.start, m.end, m.surface) for m in extract(doc, roots, suffixes)]
+            baseline = [(m.start, m.end, m.surface) for m in extractor.extract(doc)]
             assert any(m[2] == name for m in baseline), name
 
             spaces = [k for k, ch in enumerate(name) if ch == " "]
@@ -269,7 +268,7 @@ def test_criterion_6_line_break_robustness():
             assert text[pick] == " "
             broken_text = text[:pick] + "\n" + text[pick + 1 :]
             broken = document_from_text(f"doc{i}", broken_text)
-            after = [(m.start, m.end, m.surface) for m in extract(broken, roots, suffixes)]
+            after = [(m.start, m.end, m.surface) for m in extractor.extract(broken)]
             if after != baseline:
                 changed += 1
         assert changed == 0

@@ -448,6 +448,43 @@ def test_extract_with_customization_files(workspace, capsys):
     assert surfaces == ["ZEPHYR POINT FUNDING 2007-C1"]
 
 
+@pytest.mark.parametrize(
+    "flag, entry",
+    [("--custom-roots", "ZEPHYR POINT"), ("--custom-suffixes", ", N.A.")],
+    ids=["custom-roots", "custom-suffixes"],
+)
+def test_extract_invalid_elements_overlapping_customization_exits_2(workspace, capsys, flag, entry):
+    tmp_path, config, doc = workspace
+    assert run_build(config) == 0
+    custom = tmp_path / "custom.txt"
+    custom.write_text(f"OTHER WORDS\n{entry}\n", encoding="utf-8")
+    invalid = tmp_path / "invalid.txt"
+    invalid.write_text(entry.lower() + "\n", encoding="utf-8")
+    args = ["extract", "--config", str(config), flag, str(custom), "--invalid-elements", str(invalid), str(doc)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid elements overlap custom dictionaries: [")
+    assert repr(tuple(entry.replace(",", " , ").split())) in err
+
+
+@pytest.mark.parametrize("pattern", [r"re:\d{99999999999}", "re:"], ids=["overflow", "empty"])
+@pytest.mark.parametrize("kind", ["suffix_dict", "patterns"])
+def test_bad_pattern_names_file_and_line_exits_2(workspace, capsys, kind, pattern):
+    tmp_path, config, doc = workspace
+    assert run_build(config) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"# comment\nBANK\n{pattern}\n", encoding="utf-8")
+    if kind == "suffix_dict":
+        args = ["extract", "--config", str(config), "--suffix-dict", str(bad), str(doc)]
+    else:
+        args = ["build-dicts", "--config", str(config), "--patterns", str(bad), "--output", str(tmp_path / "out")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:3: bad pattern")
+    assert err.count("\n") == 1
+
+
 def test_build_dicts_with_pattern_file(tmp_path, capsys):
     names = tmp_path / "names.txt"
     names.write_text("MERIDIAN NOTES\n", encoding="utf-8")

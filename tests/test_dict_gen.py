@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from finames.dict_gen import (
     BUILTIN_SUFFIX_PATTERNS,
-    FilterSet,
     SuffixPattern,
     apply_filters,
     extract_trailing_suffix,
@@ -167,20 +166,20 @@ def test_trigrams_short_name_empty():
 
 
 def test_filters_drop_single_address_term():
-    assert apply_filters({("STREET",)}, FilterSet()) == set()
+    assert apply_filters({("STREET",)}) == set()
 
 
 def test_filters_keep_multi_token_entries():
     entry = toks("WALL STREET FUNDING")
-    assert apply_filters({entry}, FilterSet()) == {entry}
+    assert apply_filters({entry}) == {entry}
 
 
 def test_filters_empty_input():
-    assert apply_filters(set(), FilterSet()) == set()
+    assert apply_filters(set()) == set()
 
 
 def test_filters_drop_stop_only_entries():
-    assert apply_filters({("THE", "OF"), ("OF",), (",",)}, FilterSet()) == set()
+    assert apply_filters({("THE", "OF"), ("OF",), (",",)}) == set()
 
 
 @given(
@@ -194,7 +193,7 @@ def test_filters_drop_stop_only_entries():
     )
 )
 def test_filters_output_is_subset(entries):
-    filtered = apply_filters(entries, FilterSet())
+    filtered = apply_filters(entries)
     assert filtered <= {tuple(e) for e in entries}
 
 

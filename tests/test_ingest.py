@@ -159,6 +159,20 @@ def test_segment_no_markers_is_body():
     assert [(s.label, s.start, s.end) for s in sections] == [(BODY, 0, 14)]
 
 
+@pytest.mark.parametrize("prefix", ["ß" * 30, "The ﬁnancial ﬁrms", "ŉ ŉ ŉ"], ids=["sharp-s", "fi-ligature", "apostrophe-n"])
+def test_section_offsets_index_the_text_as_read(prefix):
+    # Each of these characters uppercases to two, so a marker found in an
+    # uppercased copy of the text would start late.
+    text = prefix + "\nSummary\nWELLS FARGO BANK\ntable of contents\nWELLS FARGO BANK"
+    k = text.index("Summary")
+    e = text.index("table of contents")
+    assert [(s.label, s.start, s.end) for s in segment_text(text)] == [
+        (HEADER, 0, k),
+        (SUMMARY, k, e),
+        (BODY, e, len(text)),
+    ]
+
+
 def test_section_config_from_file(tmp_path):
     path = tmp_path / "sections.conf"
     path.write_text("header_markers=OVERVIEW,DIGEST\nsummary_end_markers=INDEX\n", encoding="utf-8")

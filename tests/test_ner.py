@@ -7,17 +7,10 @@ from hypothesis import strategies as st
 from finames.dict_gen import RootDictionary, SuffixDictionary, SuffixPattern
 from finames.ingest import document_from_text, name_list_from_strings
 from finames.dict_gen import generate_dictionaries
-from finames.ner import (
-    CustomizationDictionaries,
-    Extractor,
-    extract,
-    filter_by_role_keyword,
-    filter_invalid,
-    tokenize,
-)
+from finames.ner import Extractor, filter_by_role_keyword, tokenize
 from finames.textutil import name_tokens
 
-from oracles import ob_extract_spans, ob_tokens
+from oracles import ob_extract_spans, ob_filter_invalid, ob_tokens
 
 
 def doc(text, doc_id="d"):
@@ -102,7 +95,7 @@ def token_spans(d, roots, suffixes):
     after = {t.end: i + 1 for i, t in enumerate(tokens)}
     return [
         (
-            (first[m.root_start], after[m.root_end]),
+            (first[m.start], after[m.root_end]),
             after[m.end],
             tuple((first[a], after[b]) for a, b in m.suffix_spans),
         )
@@ -165,41 +158,36 @@ def test_extend_suffix_pattern_entries():
 
 
 # ---------------------------------------------------------------------------
-# filter_invalid
+# invalid elements
 
 
 def test_filter_invalid_drops_surface_match():
     d = doc("MAY BE LIMITED BY BOOK-ENTRY")
-    mentions = extract(d, roots_of("MAY BE LIMITED BY BOOK-ENTRY"), suffixes_of())
     invalid = frozenset({name_tokens("MAY BE LIMITED BY BOOK-ENTRY")})
-    assert filter_invalid(mentions, invalid) == []
+    assert Extractor(roots_of("MAY BE LIMITED BY BOOK-ENTRY"), suffixes_of(), invalid).extract(d) == []
 
 
 def test_filter_invalid_empty_set_is_identity():
     d = doc("WELLS FARGO BANK")
-    mentions = extract(d, roots_of("WELLS FARGO"), suffixes_of("BANK"))
-    assert filter_invalid(mentions, frozenset()) == mentions
+    roots, suffixes = roots_of("WELLS FARGO"), suffixes_of("BANK")
+    mentions = Extractor(roots, suffixes).extract(d)
+    assert [m.surface for m in mentions] == ["WELLS FARGO BANK"]
+    assert Extractor(roots, suffixes, frozenset()).extract(d) == mentions
 
 
 def test_filter_invalid_all_dropped():
     d = doc("ALPHA ONE and ALPHA ONE")
-    mentions = extract(d, roots_of("ALPHA ONE"), suffixes_of())
-    assert len(mentions) == 2
-    assert filter_invalid(mentions, frozenset({("ALPHA", "ONE")})) == []
+    assert len(Extractor(roots_of("ALPHA ONE"), suffixes_of()).extract(d)) == 2
+    assert Extractor(roots_of("ALPHA ONE"), suffixes_of(), frozenset({("ALPHA", "ONE")})).extract(d) == []
 
 
 def test_extract_applies_invalid_elements():
-    custom = CustomizationDictionaries(invalid_elements=frozenset({("ALPHA", "ONE")}))
-    d = doc("ALPHA ONE")
-    assert extract(d, roots_of("ALPHA ONE"), suffixes_of(), custom) == []
-
-
-def test_customizations_reject_invalid_overlap():
-    with pytest.raises(ValueError):
-        CustomizationDictionaries(
-            custom_roots=frozenset({("ALPHA",)}),
-            invalid_elements=frozenset({("ALPHA",)}),
-        )
+    # An invalid root drops the whole mention, suffixes included; the scan
+    # resumes after it, so the suffix does not start a mention of its own.
+    d = doc("ALPHA ONE BANK then BETA BANK")
+    roots, suffixes = roots_of("ALPHA ONE", "BETA", "BANK"), suffixes_of("BANK")
+    mentions = Extractor(roots, suffixes, frozenset({("ALPHA", "ONE")})).extract(d)
+    assert [m.surface for m in mentions] == ["BETA BANK"]
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +199,7 @@ def test_extract_three_planted_names():
     d = doc(text)
     roots = roots_of("GRANITE HARBOR", "MERIDIAN", "SOUTHEAST INVESTMENTS")
     suffixes = suffixes_of("BANK", "TRUST", ", N.C.")
-    mentions = extract(d, roots, suffixes)
+    mentions = Extractor(roots, suffixes).extract(d)
     assert [m.surface for m in mentions] == [
         "GRANITE HARBOR BANK",
         "MERIDIAN TRUST",
@@ -223,17 +211,18 @@ def test_extract_three_planted_names():
 
 def test_extract_survives_line_break_inside_root():
     d = doc("note WELLS\nFARGO BANK end")
-    mentions = extract(d, roots_of("WELLS FARGO"), suffixes_of("BANK"))
+    mentions = Extractor(roots_of("WELLS FARGO"), suffixes_of("BANK")).extract(d)
     assert [m.surface for m in mentions] == ["WELLS FARGO BANK"]
 
 
 def test_extract_zero_hits():
-    assert extract(doc("nothing to see"), roots_of("WELLS"), suffixes_of()) == []
+    assert Extractor(roots_of("WELLS"), suffixes_of()).extract(doc("nothing to see")) == []
 
 
 def test_extract_custom_roots_participate():
-    custom = CustomizationDictionaries(custom_roots=frozenset({("ZEPHYR",)}))
-    mentions = extract(doc("ZEPHYR FUNDING"), roots_of("OTHER"), suffixes_of("FUNDING"), custom)
+    # A custom root is one more entry of the root dictionary.
+    roots = RootDictionary(roots_of("OTHER").entries | {("ZEPHYR",)})
+    mentions = Extractor(roots, suffixes_of("FUNDING")).extract(doc("ZEPHYR FUNDING"))
     assert [m.surface for m in mentions] == ["ZEPHYR FUNDING"]
 
 
@@ -243,13 +232,13 @@ def test_extract_abutting_root_consumed_by_suffix_extension():
     d = doc("ALPHA ONE GAMMA TWO")
     roots = roots_of("ALPHA ONE", "GAMMA TWO")
     suffixes = suffixes_of("GAMMA TWO")
-    mentions = extract(d, roots, suffixes)
+    mentions = Extractor(roots, suffixes).extract(d)
     assert [m.surface for m in mentions] == ["ALPHA ONE GAMMA TWO"]
 
 
 def test_extract_no_mention_is_subspan_of_another_with_same_start():
     d = doc("ALPHA ONE TWO ALPHA ONE")
-    mentions = extract(d, roots_of("ALPHA", "ALPHA ONE", "ONE TWO"), suffixes_of())
+    mentions = Extractor(roots_of("ALPHA", "ALPHA ONE", "ONE TWO"), suffixes_of()).extract(d)
     starts = {}
     for m in mentions:
         assert m.start not in starts
@@ -259,7 +248,7 @@ def test_extract_no_mention_is_subspan_of_another_with_same_start():
 def test_extract_unresolved_split_name_stays_unmatched():
     # A root split around unrelated text is not stitched back together.
     d = doc("Wells \n abc def xxx \n Fargo Bank")
-    mentions = extract(d, roots_of("WELLS FARGO"), suffixes_of("BANK"))
+    mentions = Extractor(roots_of("WELLS FARGO"), suffixes_of("BANK")).extract(d)
     assert mentions == []
 
 
@@ -267,7 +256,7 @@ def test_extract_infers_unseen_combination():
     # Roots and suffixes learned from different names combine into a new one.
     lists = [name_list_from_strings(["WELLS FARGO BANK", "COUNTRYWIDE HOME LOANS"], "x")]
     roots, suffixes = generate_dictionaries(lists)
-    mentions = extract(doc("COUNTRYWIDE HOME BANK"), roots, suffixes)
+    mentions = Extractor(roots, suffixes).extract(doc("COUNTRYWIDE HOME BANK"))
     assert "COUNTRYWIDE HOME BANK" in [m.surface for m in mentions]
 
 
@@ -277,25 +266,26 @@ def test_extract_brute_force_equivalence_randomized():
     pattern = SuffixPattern(r"TRUST \d{4}-[A-Z0-9]+")
     for _ in range(200):
         words = [rng.choice(alphabet) for _ in range(rng.randint(0, 40))]
-        text = " ".join(words)
+        text = "".join(word + rng.choice([" ", " ", "\n", "  \t"]) for word in words)
         root_entries = {
             tuple(rng.choices(alphabet[:5], k=rng.randint(1, 3))) for _ in range(rng.randint(1, 8))
         }
         suffix_entries = {
             tuple(rng.choices(alphabet[:5], k=rng.randint(1, 2))) for _ in range(rng.randint(0, 4))
         }
+        # Invalid elements: whole roots and root+suffix combinations.
+        combinations = sorted(root_entries) + [r + s for r in sorted(root_entries) for s in sorted(suffix_entries)]
+        invalid = frozenset(rng.sample(combinations, rng.randint(0, min(3, len(combinations)))))
         d = doc(text)
         tokens = tokenize(d)
-        expected = ob_extract_spans([t.text for t in tokens], root_entries, suffix_entries, [pattern])
-        got = extract(
-            d,
+        spans = ob_extract_spans([t.text for t in tokens], root_entries, suffix_entries, [pattern])
+        char_spans = [(tokens[s].start, tokens[r - 1].end, tokens[e - 1].end) for s, r, e in spans]
+        got = Extractor(
             RootDictionary(frozenset(root_entries)),
             SuffixDictionary(frozenset(suffix_entries), (pattern,)),
-        )
-        starts = [t.start for t in tokens]
-        ends = [t.end for t in tokens]
-        expected_char_spans = [(starts[s], ends[e - 1]) for s, _, e in expected]
-        assert [(m.start, m.end) for m in got] == expected_char_spans
+            invalid,
+        ).extract(d)
+        assert [(m.start, m.root_end, m.end) for m in got] == ob_filter_invalid(text, char_spans, invalid)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +294,7 @@ def test_extract_brute_force_equivalence_randomized():
 
 def test_role_filter_keeps_adjacent():
     d = doc("Servicers: WELLS FARGO BANK")
-    mentions = extract(d, roots_of("WELLS FARGO"), suffixes_of("BANK"))
+    mentions = Extractor(roots_of("WELLS FARGO"), suffixes_of("BANK")).extract(d)
     kept = filter_by_role_keyword(mentions, d)
     assert [m.surface for m in kept] == ["WELLS FARGO BANK"]
 
@@ -312,7 +302,7 @@ def test_role_filter_keeps_adjacent():
 def test_role_filter_drops_distant():
     filler = " ".join(["word"] * 12)
     d = doc(f"Issuer {filler} WELLS FARGO BANK")
-    mentions = extract(d, roots_of("WELLS FARGO"), suffixes_of("BANK"))
+    mentions = Extractor(roots_of("WELLS FARGO"), suffixes_of("BANK")).extract(d)
     assert filter_by_role_keyword(mentions, d, window=10) == []
 
 
@@ -323,7 +313,7 @@ def test_role_filter_window_zero_requires_immediate():
     }
     for text, expected in cases.items():
         d = doc(text)
-        mentions = extract(d, roots_of("ALPHA ONE"), suffixes_of())
+        mentions = Extractor(roots_of("ALPHA ONE"), suffixes_of()).extract(d)
         kept = filter_by_role_keyword(mentions, d, window=0)
         assert bool(kept) is expected, text
 
@@ -334,7 +324,7 @@ def test_role_filter_distances():
         filler = " ".join(["pad"] * distance)
         text = f"Trustee {filler} ALPHA ONE".replace("  ", " ")
         d = doc(text)
-        mentions = extract(d, roots, suffixes_of())
+        mentions = Extractor(roots, suffixes_of()).extract(d)
         kept = filter_by_role_keyword(mentions, d, window=10)
         assert bool(kept) is expected, text
 
@@ -352,12 +342,12 @@ def test_role_filter_empty_keywords_rejected():
 def test_mention_spans_lie_within_sections():
     text = "GRANITE HARBOR BANK\nSUMMARY\nGRANITE HARBOR BANK\nTABLE OF CONTENTS\nGRANITE HARBOR BANK"
     d = doc(text)
-    mentions = extract(d, roots_of("GRANITE HARBOR"), suffixes_of("BANK"))
+    mentions = Extractor(roots_of("GRANITE HARBOR"), suffixes_of("BANK")).extract(d)
     assert [m.section for m in mentions] == ["HEADER", "SUMMARY", "BODY"]
 
 
 def test_surface_collapses_internal_whitespace():
     d = doc("WELLS\n  FARGO BANK")
-    mentions = extract(d, roots_of("WELLS FARGO"), suffixes_of("BANK"))
+    mentions = Extractor(roots_of("WELLS FARGO"), suffixes_of("BANK")).extract(d)
     assert mentions[0].surface == "WELLS FARGO BANK"
     assert " ".join(d.raw_text[mentions[0].start : mentions[0].end].split()) == mentions[0].surface
