@@ -355,9 +355,9 @@ def save_suffix_dictionary(dictionary: SuffixDictionary, path: str | Path) -> No
 def load_token_entries(path: str | Path) -> frozenset[TokenSeq]:
     """Literal entries from a one-entry-per-line file, normalized to tokens."""
     entries = set()
-    for _, line in entry_lines(path):
+    for number, line in entry_lines(path):
         if line.startswith(PATTERN_PREFIX):
-            raise ValueError(f"{path}: pattern entry not allowed here: {line!r}")
+            raise ValueError(f"{path}:{number}: pattern entry not allowed here: {line!r}")
         tokens = name_tokens(line)
         if tokens:
             entries.add(tokens)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -34,6 +35,10 @@ DEFAULT_ABBREVIATIONS: Mapping[str, tuple[str, ...]] = {
     "WAMU": ("WASHINGTON", "MUTUAL"),
 }
 
+# Largest accepted weight: s_q <= 2 * MAX_WEIGHT and s_b <= 1, so every score
+# and every ranking bound stays finite.
+MAX_WEIGHT = sys.float_info.max / 4
+
 
 @dataclass(frozen=True)
 class ErConfig:
@@ -47,8 +52,8 @@ class ErConfig:
         if not self.threshold >= 0:
             raise ValueError(f"threshold must be >= 0, got {self.threshold}")
         for token, weight in self.weight_overrides.items():
-            if not weight >= 0:
-                raise ValueError(f"weight override for {token!r} must be >= 0, got {weight}")
+            if not 0 <= weight <= MAX_WEIGHT:
+                raise ValueError(f"weight override for {token!r} must be >= 0 and <= {MAX_WEIGHT}, got {weight}")
 
 
 @dataclass(frozen=True)
@@ -199,15 +204,49 @@ class MatchResult:
     s_b: float
 
 
+def decayed_gains(query_tokens: Sequence[str], weight: Callable[[str], float]) -> tuple[float, ...]:
+    """Per-position bounds for ``score`` and its ``s_q``-based reductions: what
+    query position ``i`` can add to a candidate holding ``query_tokens[i]``.
+    ``s_q`` counts only held positions and ``s_c <= 1``; ``s_b`` counts only
+    positions in a block of candidate tokens, each worth ``0.5**i / Σ_k 0.5**k``."""
+    block = 1 / sum(0.5**k for k in range(len(query_tokens)))
+    return tuple(0.5**i * (weight(token) + block) for i, token in enumerate(query_tokens))
+
+
 def best_candidate(
-    query_tokens: Sequence[str], corpus: Corpus, scorer: Callable[[Sequence[str], Sequence[str]], float]
+    query_tokens: Sequence[str],
+    corpus: Corpus,
+    scorer: Callable[[Sequence[str], Sequence[str]], float],
+    gains: Sequence[float],
 ) -> tuple[int, float] | None:
     """(entry id, score) of the candidate ``scorer(query_tokens, candidate)``
     ranks highest; only a strictly higher score replaces the leader, so ties go
-    to the lowest entry id. None when no entry shares a token with the query."""
+    to the lowest entry id. None when no entry shares a token with the query.
+
+    ``gains[i]`` must bound what position ``i`` adds to the score of a
+    candidate holding ``query_tokens[i]``, so a candidate's score is at most
+    the sum of its held positions' gains. The candidate with the highest bound
+    is scored first; every other candidate whose bound (with a margin for
+    rounding) stays below that score cannot win and is never scored. A NaN
+    score prunes nothing, since the comparison is then False."""
+    bounds = [0.0] * len(corpus)
+    for token, gain in zip(query_tokens, gains):
+        for entry_id in corpus.inverted_index.get(token, ()):
+            bounds[entry_id] += gain
+    candidates = corpus.candidate_ids(query_tokens)
+    if not candidates:
+        return None
+    # max() keeps the first of equal bounds: the lowest id.
+    top = max(candidates, key=bounds.__getitem__)
+    floor = scorer(query_tokens, corpus.tokens[top])
     best: tuple[int, float] | None = None
-    for entry_id in corpus.candidate_ids(query_tokens):
-        value = scorer(query_tokens, corpus.tokens[entry_id])
+    for entry_id in candidates:
+        if entry_id == top:
+            value = floor
+        elif bounds[entry_id] * (1 + 1e-9) < floor:
+            continue
+        else:
+            value = scorer(query_tokens, corpus.tokens[entry_id])
         if best is None or value > best[1]:
             best = (entry_id, value)
     return best
@@ -220,7 +259,9 @@ def best_match(mention: str | Query, corpus: Corpus, config: ErConfig) -> MatchR
     if not query.tokens:
         logger.warning("query %r is empty after preprocessing", query.original)
         return None
-    best = best_candidate(query.tokens, corpus, lambda q, p: score(q, p, corpus.weight))
+    best = best_candidate(
+        query.tokens, corpus, lambda q, p: score(q, p, corpus.weight), decayed_gains(query.tokens, corpus.weight)
+    )
     if best is None:
         return None
     entry_id, combined = best
@@ -264,7 +305,8 @@ def load_abbreviations(path: str | Path) -> dict[str, tuple[str, ...]]:
 
 
 def load_weight_overrides(path: str | Path) -> dict[str, float]:
-    """Override file: TOKEN<TAB>weight, one per line; weights must be >= 0 (not NaN)."""
+    """Override file: TOKEN<TAB>weight, one per line; weights must lie in
+    [0, MAX_WEIGHT] (not NaN)."""
     overrides: dict[str, float] = {}
     for number, line in entry_lines(path):
         token, sep, value = line.partition("\t")
@@ -274,7 +316,7 @@ def load_weight_overrides(path: str | Path) -> dict[str, float]:
             weight = float(value.strip())
         except ValueError as exc:
             raise ValueError(f"{path}:{number}: bad weight {value.strip()!r}") from exc
-        if not weight >= 0:
-            raise ValueError(f"{path}:{number}: weight must be >= 0, got {value.strip()!r}")
+        if not 0 <= weight <= MAX_WEIGHT:
+            raise ValueError(f"{path}:{number}: weight must be >= 0 and <= {MAX_WEIGHT}, got {value.strip()!r}")
         overrides[_clean_token(token.strip().upper())] = weight
     return overrides

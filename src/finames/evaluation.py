@@ -17,6 +17,7 @@ from .er import (
     ErConfig,
     MatchResult,
     best_candidate,
+    decayed_gains,
     preprocess,
     score,
     score_sc,
@@ -236,7 +237,13 @@ def variant_best_match(
     query = preprocess(mention, config)
     if not query.tokens:
         return None
-    return best_candidate(query.tokens, corpus, lambda q, p: baseline_score(variant, q, p, corpus))
+    # ``idf`` sums each held position's weight undecayed; the other variants
+    # are bounded like the full score, whose s_b part they leave out.
+    if variant == "idf":
+        gains = tuple(corpus.weight(token) for token in query.tokens)
+    else:
+        gains = decayed_gains(query.tokens, corpus.weight)
+    return best_candidate(query.tokens, corpus, lambda q, p: baseline_score(variant, q, p, corpus), gains)
 
 
 def pseudo_recall(results: Iterable[MatchResult | float], threshold: float) -> float | None:

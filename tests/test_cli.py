@@ -356,6 +356,23 @@ def test_nan_threshold_or_weight_exits_2(workspace, capsys, source):
         assert f"{weights}:1:" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "1e308"])
+def test_weight_override_above_limit_exits_2(workspace, capsys, value):
+    # An infinite weight made nan scores, and huge ones made sums that
+    # overflow; the limit keeps every score and ranking bound finite.
+    tmp_path, config, doc = workspace
+    mentions = tmp_path / "m.tsv"
+    mentions.write_text("doc1.txt\t0\t16\tBODY\tGranite Harbor Bank\n", encoding="utf-8")
+    weights = tmp_path / "weights.tsv"
+    weights.write_text(f"GRANITE\t1.0\nBANK\t{value}\n", encoding="utf-8")
+    out_path = tmp_path / "resolved.tsv"
+    args = ["resolve", "--config", str(config), "--weight-overrides", str(weights), "--output", str(out_path)]
+    assert main(args + [str(mentions)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {weights}:2: weight must be >= 0 and <= ")
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_negative_role_window_exits_2(workspace, capsys, source):
     tmp_path, config, doc = workspace
@@ -465,6 +482,17 @@ def test_extract_invalid_elements_overlapping_customization_exits_2(workspace, c
     err = capsys.readouterr().err
     assert err.startswith("error: invalid elements overlap custom dictionaries: [")
     assert repr(tuple(entry.replace(",", " , ").split())) in err
+
+
+def test_pattern_entry_in_custom_roots_names_file_and_line(workspace, capsys):
+    tmp_path, config, doc = workspace
+    assert run_build(config) == 0
+    capsys.readouterr()
+    custom = tmp_path / "custom_roots.txt"
+    custom.write_text("ZEPHYR POINT\nre:BANK\n", encoding="utf-8")
+    assert main(["extract", "--config", str(config), "--custom-roots", str(custom), str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {custom}:2: pattern entry not allowed here: 're:BANK'\n"
 
 
 @pytest.mark.parametrize("pattern", [r"re:\d{99999999999}", "re:"], ids=["overflow", "empty"])

@@ -1,16 +1,20 @@
 import logging
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finames.er import (
+    MAX_WEIGHT,
     Corpus,
     ErConfig,
     Query,
+    best_candidate,
     best_match,
     build_corpus,
+    decayed_gains,
     load_abbreviations,
     load_stop_words,
     load_weight_overrides,
@@ -239,6 +243,41 @@ def test_negative_weight_override_rejected():
         ErConfig(weight_overrides={"A": -1.0})
 
 
+@pytest.mark.parametrize("weight", [math.inf, 1e308, MAX_WEIGHT * 2])
+def test_weight_override_above_limit_rejected(tmp_path, weight):
+    with pytest.raises(ValueError):
+        ErConfig(weight_overrides={"A": weight})
+    path = tmp_path / "weights.tsv"
+    path.write_text(f"A\t{weight!r}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: "):
+        load_weight_overrides(path)
+
+
+def test_weight_override_limit_itself_accepted():
+    corpus = corpus_of("ALPHA BANK", "BETA BANK", config=ErConfig(weight_overrides={"ALPHA": MAX_WEIGHT}))
+    result = best_match("ALPHA BANK", corpus, PLAIN)
+    assert result is not None and result.entry_name == "ALPHA BANK"
+    assert math.isfinite(result.score)
+
+
+def test_best_candidate_skips_candidates_that_cannot_win():
+    # Fifty entries share BANK; only ALPHA BANK also holds ALPHA. Every other
+    # candidate's bound is below ALPHA BANK's score, so none is scored.
+    fillers = [a + b + "CO BANK" for a in "BCDFGHJ" for b in "KLMNPRS"][:49]
+    corpus = corpus_of("ALPHA BANK", *fillers)
+    q = ("ALPHA", "BANK")
+    calls = []
+
+    def counting(q_tokens, p_tokens):
+        calls.append(p_tokens)
+        return score(q_tokens, p_tokens, corpus.weight)
+
+    got = best_candidate(q, corpus, counting, decayed_gains(q, corpus.weight))
+    assert len(corpus.candidate_ids(q)) == 50
+    assert len(calls) < 50
+    assert got == ob_best_match(q, corpus.tokens, corpus.weight)
+
+
 # ---------------------------------------------------------------------------
 # properties
 
@@ -316,8 +355,7 @@ def test_resolve_agrees_with_bruteforce(entries, q):
         assert got is None
     else:
         assert got is not None
-        assert got.score == pytest.approx(expected[1], abs=1e-9)
-        assert got.entry_id == expected[0]
+        assert (got.entry_id, got.score) == expected
     for threshold in (0.0, 0.085, 0.5):
         config = ErConfig(threshold=threshold, stop_words=frozenset(), abbreviations={})
         expected_match = ob_resolve(q, corpus.tokens, corpus.weight, threshold)

@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finames.er import ErConfig, best_match, build_corpus, preprocess
+from finames.er import MAX_WEIGHT, ErConfig, best_match, build_corpus, preprocess
 from finames.evaluation import (
     CORRECT,
     PAR,
@@ -287,6 +287,62 @@ def test_ranking_loop_is_brute_force_argmax(names, duplicates, query):
             want = (min(i for i, v in values.items() if v == top), top)
         assert got[variant] == want, variant
     full = best_match(mention, corpus, PLAIN)
+    assert (None if full is None else (full.entry_id, full.score)) == got["full"]
+    assert ob_best_match(q, corpus.tokens, corpus.weight) == got["full"]
+
+
+PRUNE_WORDS = ["ALPHA", "BRAVO", "CAPITAL", "FUNDS", "SAVINGS"]
+QUERY_WORDS = PRUNE_WORDS + ["TRUST", "OTHER"]
+# Zero, the smallest subnormal, tiny, unit, huge and the largest accepted weight.
+EDGE_WEIGHTS = [0.0, 5e-324, 1e-300, 1.0, 1e300, MAX_WEIGHT]
+weight_strategy = st.sampled_from(EDGE_WEIGHTS) | st.floats(min_value=0.0, max_value=MAX_WEIGHT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    names=st.lists(
+        st.tuples(st.lists(st.sampled_from(PRUNE_WORDS), max_size=3), st.integers(0, 9)),
+        min_size=1,
+        max_size=24,
+    ),
+    duplicates=st.lists(st.integers(min_value=0, max_value=23), max_size=6),
+    overrides=st.dictionaries(st.sampled_from(QUERY_WORDS), weight_strategy, max_size=6),
+    picked=st.none() | st.integers(min_value=0, max_value=29),
+    before=st.lists(st.sampled_from(QUERY_WORDS), max_size=3),
+    after=st.lists(st.sampled_from(QUERY_WORDS), max_size=3),
+)
+# Both names weigh 0, so only s_b separates them: a bound without the s_b
+# term would skip the winner, ALPHA ALPHA.
+@example(
+    names=[(["ALPHA"], 0), (["ALPHA", "ALPHA"], 0)], duplicates=[], overrides={}, picked=None, before=[],
+    after=["ALPHA", "ALPHA"],
+)
+def test_pruned_ranking_equals_brute_force_with_heavy_postings(names, duplicates, overrides, picked, before, after):
+    # TRUST goes into nine names in ten (and into every name that would be
+    # empty), so its postings cover most of the corpus, as BANK's do in a
+    # registry; trailing periods force ties. The query is random words,
+    # optionally around a corpus name, so the s_b block bonus often decides.
+    raw = []
+    for words, slot in names:
+        if slot or not words:
+            words = words[: slot % (len(words) + 1)] + ["TRUST"] + words[slot % (len(words) + 1) :]
+        raw.append(" ".join(words))
+    raw += [raw[i % len(raw)] + "." for i in duplicates]
+    query = before + ([] if picked is None else raw[picked % len(raw)].split()) + after
+    config = ErConfig(threshold=0.0, stop_words=frozenset(), abbreviations={}, weight_overrides=overrides)
+    corpus = build_corpus(name_list_from_strings(raw, "c"), config)
+    mention = " ".join(query)
+    q = preprocess(mention, config).tokens
+    shared = [i for i, p in enumerate(corpus.tokens) if set(p) & set(q)]
+    got = {variant: variant_best_match(variant, mention, corpus, config) for variant in SCORE_VARIANTS}
+    for variant in SCORE_VARIANTS:
+        want = None
+        for i in shared:
+            value = baseline_score(variant, q, corpus.tokens[i], corpus)
+            if want is None or value > want[1]:
+                want = (i, value)
+        assert got[variant] == want, variant
+    full = best_match(mention, corpus, config)
     assert (None if full is None else (full.entry_id, full.score)) == got["full"]
     assert ob_best_match(q, corpus.tokens, corpus.weight) == got["full"]
 
