@@ -105,6 +105,11 @@ class SuffixPattern:
             matchers = tuple(re.compile(_translate_pattern_token(tok)) for tok in tokens)
         except (re.error, OverflowError) as exc:
             raise ValueError(f"{self.pattern_text!r}: {exc}") from None
+        # Every element of the syntax but \d{0} needs a character, so a token
+        # that matches "" matches nothing else, and tokens are never empty.
+        empty = next((tok for tok, m in zip(tokens, matchers) if m.fullmatch("")), None)
+        if empty is not None:
+            raise ValueError(f"{self.pattern_text!r}: token {empty!r} can match only an empty token")
         object.__setattr__(self, "_matchers", matchers)
         for example in self.positive_examples:
             if not self.matches(name_tokens(example)):

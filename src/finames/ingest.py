@@ -5,10 +5,11 @@ import logging
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .textutil import TOKEN, RawToken, TokenSeq, entry_lines, join_tokens, name_tokens
+from .textutil import TOKEN, TokenSeq, entry_lines, join_tokens, name_tokens
 
 logger = logging.getLogger(__name__)
 
@@ -124,12 +125,25 @@ class Document:
     sections: tuple[Section, ...]
 
     @cached_property
-    def tokens(self) -> tuple[RawToken, ...]:
-        """Uppercased ``TOKEN`` matches of ``raw_text`` with their offsets, cut on
-        first use and kept (not a field: equality and hashing ignore it). Each
-        token is uppercased on its own; uppercasing the whole text first would
-        move the offsets after a character such as "ß" that uppercases to two."""
-        return tuple([RawToken(m.group().upper(), m.start(), m.end()) for m in TOKEN.finditer(self.raw_text)])
+    def _cut(self) -> tuple[TokenSeq, tuple[int, ...]]:
+        # Separator runs and tokens alternate in ``parts``, starting and ending
+        # with a (possibly empty) run, so the running lengths are the offsets.
+        parts = TOKEN.split(self.raw_text)
+        return tuple(map(str.upper, parts[1::2])), tuple(accumulate(map(len, parts)))
+
+    @property
+    def tokens(self) -> TokenSeq:
+        """Uppercased ``TOKEN`` matches of ``raw_text``, cut on first use and kept
+        (not a field: equality and hashing ignore it). Each token is uppercased
+        on its own, so a character such as "ß" that uppercases to two moves no
+        offset in ``token_bounds``."""
+        return self._cut[0]
+
+    @property
+    def token_bounds(self) -> tuple[int, ...]:
+        """Boundary table ``b``: token ``k`` spans ``raw_text[b[2k]:b[2k + 1]]``,
+        and the last entry is ``len(raw_text)``."""
+        return self._cut[1]
 
     def section_at(self, offset: int) -> str:
         for section in self.sections:

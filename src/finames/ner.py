@@ -4,6 +4,9 @@ Extraction is a single left-to-right pass over the token stream: find the
 leftmost-longest root entry, then repeatedly append the longest literal or
 pattern suffix that follows, then resume scanning after the consumed span.
 Matching is purely token based, so line breaks inside a name do not matter.
+An entry is matched by looking its token slice up in the dictionary's own set,
+once per distinct entry length among the entries that start with the token at
+hand, longest first; only tokens that start some root are tried as roots.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .dict_gen import RootDictionary, SuffixDictionary
 from .ingest import Document
-from .textutil import RawToken, TokenSeq, collapse_whitespace
+from .textutil import SEPARATORS, TokenSeq
 
 DEFAULT_ROLE_KEYWORDS = frozenset(
     {"SERVICER", "SERVICERS", "ISSUER", "SPONSOR", "DEPOSITOR", "TRUSTEE", "UNDERWRITER", "ORIGINATOR"}
@@ -24,9 +27,10 @@ DEFAULT_ROLE_WINDOW = 10
 _PUNCT = string.punctuation
 
 
-def tokenize(doc: Document) -> tuple[RawToken, ...]:
-    """Uppercased tokens of the document with their offsets (``textutil.TOKEN``);
-    cut once per document and shared by extraction and the role filter."""
+def tokenize(doc: Document) -> TokenSeq:
+    """Uppercased tokens of the document (``textutil.TOKEN``), their offsets in
+    ``doc.token_bounds``; cut once per document and shared by extraction and
+    the role filter."""
     return doc.tokens
 
 
@@ -44,40 +48,27 @@ class Mention:
     section: str
 
 
-class _TokenTrie:
-    __slots__ = ("children", "terminal")
+def _lengths_by_first_token(entries: Iterable[TokenSeq]) -> dict[str, tuple[int, ...]]:
+    lengths: dict[str, set[int]] = {}
+    for entry in entries:
+        lengths.setdefault(entry[0], set()).add(len(entry))
+    return {first: tuple(sorted(found, reverse=True)) for first, found in lengths.items()}
 
-    def __init__(self) -> None:
-        self.children: dict[str, _TokenTrie] = {}
-        self.terminal = False
 
-    @classmethod
-    def build(cls, entries: Iterable[TokenSeq]) -> "_TokenTrie":
-        root = cls()
-        for entry in entries:
-            node = root
-            for tok in entry:
-                node = node.children.setdefault(tok, cls())
-            node.terminal = True
-        return root
-
-    def longest_match(self, texts: Sequence[str], start: int) -> int:
-        """Token length of the longest entry matching at ``start``; 0 if none."""
-        node = self
-        best = 0
-        i = start
-        while i < len(texts):
-            node = node.children.get(texts[i])
-            if node is None:
-                break
-            i += 1
-            if node.terminal:
-                best = i - start
-        return best
+def _longest_match(
+    entries: frozenset[TokenSeq], lengths: dict[str, tuple[int, ...]], texts: TokenSeq, start: int
+) -> int:
+    """Token length of the longest entry matching at ``start``; 0 if none. An
+    entry longer than the tokens left is skipped: its cut-off slice could
+    equal a shorter entry."""
+    for length in lengths.get(texts[start], ()):
+        if start + length <= len(texts) and texts[start : start + length] in entries:
+            return length
+    return 0
 
 
 class Extractor:
-    """Reusable matcher holding the prebuilt root and suffix tries.
+    """Reusable matcher over the dictionaries' entry sets.
 
     A match whose whole token sequence, or whose root alone, is in
     ``invalid`` yields no mention; scanning still resumes after it.
@@ -89,22 +80,17 @@ class Extractor:
         suffixes: SuffixDictionary,
         invalid: frozenset[TokenSeq] = frozenset(),
     ) -> None:
-        self._root_trie = _TokenTrie.build(roots.entries)
-        self._suffix_trie = _TokenTrie.build(suffixes.literal_entries)
+        self._roots = roots.entries
+        self._root_lengths = _lengths_by_first_token(roots.entries)
+        self._suffixes = suffixes.literal_entries
+        self._suffix_lengths = _lengths_by_first_token(suffixes.literal_entries)
         self._patterns = suffixes.pattern_entries
         self._invalid = invalid
 
-    def _next_root(self, texts: Sequence[str], pos: int) -> tuple[int, int] | None:
-        for i in range(pos, len(texts)):
-            length = self._root_trie.longest_match(texts, i)
-            if length:
-                return i, i + length
-        return None
-
-    def _extend(self, texts: Sequence[str], pos: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    def _extend(self, texts: TokenSeq, pos: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         ranges: list[tuple[int, int]] = []
         while pos < len(texts):
-            length = self._suffix_trie.longest_match(texts, pos)
+            length = _longest_match(self._suffixes, self._suffix_lengths, texts, pos)
             for pattern in self._patterns:
                 count = pattern.token_count
                 if count > length and pos + count <= len(texts) and pattern.matches(texts[pos : pos + count]):
@@ -116,42 +102,37 @@ class Extractor:
         return pos, tuple(ranges)
 
     def extract(self, doc: Document) -> list[Mention]:
-        tokens = tokenize(doc)
-        texts = [tok.text for tok in tokens]
+        texts = tokenize(doc)
+        first_tokens = self._root_lengths
         mentions: list[Mention] = []
         pos = 0
-        while pos < len(texts):
-            hit = self._next_root(texts, pos)
-            if hit is None:
-                break
-            start, root_end = hit
+        for start in [i for i, tok in enumerate(texts) if tok in first_tokens]:
+            if start < pos:
+                continue
+            root_end = start + _longest_match(self._roots, first_tokens, texts, start)
+            if root_end == start:
+                continue
             end, suffix_ranges = self._extend(texts, root_end)
-            dropped = self._invalid and (
-                tuple(texts[start:end]) in self._invalid or tuple(texts[start:root_end]) in self._invalid
-            )
+            dropped = self._invalid and (texts[start:end] in self._invalid or texts[start:root_end] in self._invalid)
             if not dropped:
-                mentions.append(_build_mention(doc, tokens, start, root_end, end, suffix_ranges))
+                mentions.append(_build_mention(doc, start, root_end, end, suffix_ranges))
             pos = end
         return mentions
 
 
 def _build_mention(
-    doc: Document,
-    tokens: Sequence[RawToken],
-    start: int,
-    root_end: int,
-    end: int,
-    suffix_ranges: tuple[tuple[int, int], ...],
+    doc: Document, start: int, root_end: int, end: int, suffix_ranges: tuple[tuple[int, int], ...]
 ) -> Mention:
-    start_char = tokens[start].start
-    end_char = tokens[end - 1].end
+    bounds = doc.token_bounds
+    start_char = bounds[2 * start]
+    end_char = bounds[2 * end - 1]
     return Mention(
         doc_id=doc.doc_id,
         start=start_char,
         end=end_char,
-        surface=collapse_whitespace(doc.raw_text[start_char:end_char]),
-        root_end=tokens[root_end - 1].end,
-        suffix_spans=tuple((tokens[i].start, tokens[j - 1].end) for i, j in suffix_ranges),
+        surface=SEPARATORS.sub(" ", doc.raw_text[start_char:end_char]),
+        root_end=bounds[2 * root_end - 1],
+        suffix_spans=tuple((bounds[2 * i], bounds[2 * j - 1]) for i, j in suffix_ranges),
         section=doc.section_at(start_char),
     )
 
@@ -176,8 +157,8 @@ def filter_by_role_keyword(
         raise ValueError("role keyword set is empty")
     if window < 0:
         raise ValueError(f"role window must be >= 0, got {window}")
-    tokens = tokenize(doc)
-    starts = [tok.start for tok in tokens]
+    texts = tokenize(doc)
+    starts = doc.token_bounds[0:-1:2]
     kept = []
     for mention in mentions:
         idx = bisect_left(starts, mention.start)
@@ -185,7 +166,7 @@ def filter_by_role_keyword(
             k = idx - 1 - distance
             if k < 0:
                 break
-            if _bare(tokens[k].text) in wanted:
+            if _bare(texts[k]) in wanted:
                 kept.append(mention)
                 break
     return kept

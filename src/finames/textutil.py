@@ -3,31 +3,30 @@
 Everything in this package matches on tokens, cut by one rule, ``TOKEN``: a
 token is a maximal run of characters that are neither separators nor commas,
 or a single comma. Separators are the characters ``str.isspace`` accepts and
-the control characters U+0000-U+001F and U+007F. The canonical text form
-re-attaches each comma to the token before it ("WELLS FARGO BANK, N.A."), so
-canonical text and token sequences convert back and forth without loss.
+the control characters U+0000-U+001F and U+007F; ``SEPARATORS`` matches a run
+of them. The canonical text form re-attaches each comma to the token before it
+("WELLS FARGO BANK, N.A."), so canonical text and token sequences convert back
+and forth without loss.
 """
 from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 COMMA = ","
-TOKEN = re.compile(r"[^\s,\x00-\x1f\x7f]+|,")
+_SEPARATOR = r"\s\x00-\x1f\x7f"
+# One capture group, so that ``TOKEN.split`` keeps the tokens between the
+# separator runs and ``TOKEN.findall`` returns the tokens alone.
+TOKEN = re.compile(rf"([^{_SEPARATOR},]+|,)")
+SEPARATORS = re.compile(rf"[{_SEPARATOR}]+")
 
 TokenSeq = tuple[str, ...]
 
 
-class RawToken(NamedTuple):
-    text: str
-    start: int
-    end: int
-
-
 def name_tokens(text: str) -> TokenSeq:
     """Uppercase token sequence of ``text`` with commas as standalone tokens."""
-    return tuple(tok.upper() for tok in TOKEN.findall(text))
+    return tuple(map(str.upper, TOKEN.findall(text)))
 
 
 def join_tokens(tokens: Sequence[str]) -> str:
@@ -39,10 +38,6 @@ def join_tokens(tokens: Sequence[str]) -> str:
         else:
             parts.append(" " + tok)
     return "".join(parts)
-
-
-def collapse_whitespace(text: str) -> str:
-    return " ".join(text.split())
 
 
 def read_utf8(path: str | Path) -> str:

@@ -495,7 +495,11 @@ def test_pattern_entry_in_custom_roots_names_file_and_line(workspace, capsys):
     assert err == f"error: {custom}:2: pattern entry not allowed here: 're:BANK'\n"
 
 
-@pytest.mark.parametrize("pattern", [r"re:\d{99999999999}", "re:"], ids=["overflow", "empty"])
+@pytest.mark.parametrize(
+    "pattern",
+    [r"re:\d{99999999999}", "re:", r"re:\d{0}", r"re:TRUST \d{0}\d{00}"],
+    ids=["overflow", "empty", "empty-token", "empty-second-token"],
+)
 @pytest.mark.parametrize("kind", ["suffix_dict", "patterns"])
 def test_bad_pattern_names_file_and_line_exits_2(workspace, capsys, kind, pattern):
     tmp_path, config, doc = workspace

@@ -220,6 +220,13 @@ def test_pattern_matching_shapes():
     assert not pattern.matches(("TRUST", "2005-HE3"))
 
 
+def test_pattern_tokens_that_need_a_character_stay_valid():
+    # Only a token that can match nothing but "" is rejected (test_cli covers
+    # \d{0} alone); any other element needs a character.
+    assert SuffixPattern(r"TRUST \d{0}-[A-Z0-9]+", ("TRUST -A1",)).matches(("TRUST", "-A1"))
+    assert SuffixPattern("[").matches(("[",))
+
+
 # ---------------------------------------------------------------------------
 # generate_dictionaries
 

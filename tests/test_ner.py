@@ -25,13 +25,19 @@ def suffixes_of(*entries, patterns=()):
     return SuffixDictionary(frozenset(name_tokens(e) for e in entries), tuple(patterns))
 
 
+def token_triples(d):
+    """(text, start, end) of every token of ``d``, offsets from its boundary table."""
+    bounds = d.token_bounds
+    return [(text, bounds[2 * k], bounds[2 * k + 1]) for k, text in enumerate(tokenize(d))]
+
+
 # ---------------------------------------------------------------------------
 # tokenize
 
 
 def test_tokenize_line_break_separates():
     stream = tokenize(doc("Wells\nFargo Bank"))
-    assert [t.text for t in stream] == ["WELLS", "FARGO", "BANK"]
+    assert list(stream) == ["WELLS", "FARGO", "BANK"]
 
 
 def test_tokenize_empty():
@@ -39,13 +45,11 @@ def test_tokenize_empty():
 
 
 def test_tokenize_double_space_offsets():
-    stream = tokenize(doc("A  B"))
-    assert [(t.text, t.start, t.end) for t in stream] == [("A", 0, 1), ("B", 3, 4)]
+    assert token_triples(doc("A  B")) == [("A", 0, 1), ("B", 3, 4)]
 
 
 def test_tokenize_detaches_commas():
-    stream = tokenize(doc("Bank, N.A."))
-    assert [(t.text, t.start, t.end) for t in stream] == [
+    assert token_triples(doc("Bank, N.A.")) == [
         ("BANK", 0, 4),
         (",", 4, 5),
         ("N.A.", 6, 10),
@@ -53,8 +57,7 @@ def test_tokenize_detaches_commas():
 
 
 def test_tokenize_offsets_strictly_increasing():
-    stream = tokenize(doc("One two,three\nfour  ,five"))
-    spans = [(t.start, t.end) for t in stream]
+    spans = [(start, end) for _, start, end in token_triples(doc("One two,three\nfour  ,five"))]
     assert all(a_end <= b_start for (_, a_end), (b_start, _) in zip(spans, spans[1:]))
     assert all(start < end for start, end in spans)
 
@@ -62,6 +65,7 @@ def test_tokenize_offsets_strictly_increasing():
 def test_document_tokenized_once():
     d = doc("Wells Fargo Bank, N.A.")
     assert tokenize(d) is tokenize(d)
+    assert d.token_bounds is d.token_bounds
     twin = doc("Wells Fargo Bank, N.A.")
     assert twin == d and hash(twin) == hash(d)
     assert tokenize(twin) == tokenize(d)
@@ -80,7 +84,7 @@ _TRICKY += [chr(c) for c in range(32)]
 @example("A\x7fb\x85c\xa0d\u2028e\u3000f,,g\x00h\x1fi")
 def test_token_rule_equals_character_loop_oracle(text):
     want = ob_tokens(text)
-    assert [tuple(t) for t in tokenize(doc(text))] == want
+    assert token_triples(doc(text)) == want
     assert list(name_tokens(text)) == [t for t, _, _ in want]
 
 
@@ -90,9 +94,9 @@ def test_token_rule_equals_character_loop_oracle(text):
 
 def token_spans(d, roots, suffixes):
     """Each mention of ``Extractor.extract`` as (root range, end, suffix ranges) in token indices."""
-    tokens = tokenize(d)
-    first = {t.start: i for i, t in enumerate(tokens)}
-    after = {t.end: i + 1 for i, t in enumerate(tokens)}
+    tokens = token_triples(d)
+    first = {start: i for i, (_, start, _) in enumerate(tokens)}
+    after = {end: i + 1 for i, (_, _, end) in enumerate(tokens)}
     return [
         (
             (first[m.start], after[m.root_end]),
@@ -117,6 +121,13 @@ def test_match_roots_longest_wins():
 
 def test_match_roots_empty_stream():
     assert root_ranges(doc(""), roots_of("WELLS")) == []
+
+
+def test_match_roots_entry_longer_than_the_tokens_left():
+    # The slice of "A B C" cut off by the end of the document equals the
+    # shorter root "A B"; only "A B" itself may match.
+    assert root_ranges(doc("x A B"), roots_of("A B C", "A B")) == [(1, 3)]
+    assert root_ranges(doc("x A B"), roots_of("A B C")) == []
 
 
 def test_match_roots_ignores_line_breaks():
@@ -145,6 +156,13 @@ def test_extend_suffix_nothing_following():
     assert root == (0, 2)
     assert end == 2
     assert spans == ()
+
+
+def test_extend_suffix_entry_longer_than_the_tokens_left():
+    [(root, end, spans)] = token_spans(doc("x R S T"), roots_of("R"), suffixes_of("S T U", "S T"))
+    assert (root, end, spans) == ((1, 2), 4, ((2, 4),))
+    [(root, end, spans)] = token_spans(doc("x R S T"), roots_of("R"), suffixes_of("S T U"))
+    assert (root, end, spans) == ((1, 2), 2, ())
 
 
 def test_extend_suffix_pattern_entries():
@@ -277,9 +295,9 @@ def test_extract_brute_force_equivalence_randomized():
         combinations = sorted(root_entries) + [r + s for r in sorted(root_entries) for s in sorted(suffix_entries)]
         invalid = frozenset(rng.sample(combinations, rng.randint(0, min(3, len(combinations)))))
         d = doc(text)
-        tokens = tokenize(d)
-        spans = ob_extract_spans([t.text for t in tokens], root_entries, suffix_entries, [pattern])
-        char_spans = [(tokens[s].start, tokens[r - 1].end, tokens[e - 1].end) for s, r, e in spans]
+        tokens = token_triples(d)
+        spans = ob_extract_spans(tokenize(d), root_entries, suffix_entries, [pattern])
+        char_spans = [(tokens[s][1], tokens[r - 1][2], tokens[e - 1][2]) for s, r, e in spans]
         got = Extractor(
             RootDictionary(frozenset(root_entries)),
             SuffixDictionary(frozenset(suffix_entries), (pattern,)),
@@ -351,3 +369,15 @@ def test_surface_collapses_internal_whitespace():
     mentions = Extractor(roots_of("WELLS FARGO"), suffixes_of("BANK")).extract(d)
     assert mentions[0].surface == "WELLS FARGO BANK"
     assert " ".join(d.raw_text[mentions[0].start : mentions[0].end].split()) == mentions[0].surface
+
+
+def test_surface_turns_control_separators_into_spaces():
+    # Control characters that are not whitespace still separate tokens; the
+    # surface must not glue the words around them ("WELLSFARGO" to resolve).
+    controls = [chr(c) for c in [*range(0x00, 0x09), *range(0x0E, 0x1C), 0x7F]]
+    roots, suffixes = roots_of("WELLS FARGO"), suffixes_of("BANK")
+    for ch in controls:
+        d = doc(f"x Wells{ch}Fargo {ch}\n Bank, y")
+        [mention] = Extractor(roots, suffixes).extract(d)
+        assert mention.surface == "Wells Fargo Bank", repr(ch)
+        assert name_tokens(mention.surface) == ("WELLS", "FARGO", "BANK")
