@@ -311,8 +311,8 @@ def generate_dictionaries(
     """
     roots: set[TokenSeq] = set()
     suffixes: set[TokenSeq] = set()
-    unique_names = sorted({name for lst in lists for name in lst.names})
-    for name in unique_names:
+    unique_names = {name.text: name for lst in lists for name in lst.names}
+    for _, name in sorted(unique_names.items()):
         stripped = strip_trailing_garbage(name.text)
         if len(stripped) < MIN_NAME_LENGTH:
             continue

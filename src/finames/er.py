@@ -63,7 +63,8 @@ class Query:
 
 
 def _clean_token(token: str) -> str:
-    return "".join(ch for ch in token if ch.isalnum())
+    """``token`` without its characters that are not letters or digits."""
+    return token if token.isalnum() else "".join(filter(str.isalnum, token))
 
 
 def preprocess(mention: str, config: ErConfig) -> Query:
@@ -126,7 +127,7 @@ def build_corpus(names: NameList, config: ErConfig) -> Corpus:
         entry_tokens.append(tokens)
     index: dict[str, list[int]] = {}
     for entry_id, tokens in enumerate(entry_tokens):
-        for token in sorted(set(tokens)):
+        for token in dict.fromkeys(tokens):
             index.setdefault(token, []).append(entry_id)
     total = len(entry_tokens)
     idf = {token: math.log(total / len(ids)) for token, ids in index.items()}
@@ -225,28 +226,46 @@ def best_candidate(
 
     ``gains[i]`` must bound what position ``i`` adds to the score of a
     candidate holding ``query_tokens[i]``, so a candidate's score is at most
-    the sum of its held positions' gains. The candidate with the highest bound
-    is scored first; every other candidate whose bound (with a margin for
-    rounding) stays below that score cannot win and is never scored. A NaN
-    score prunes nothing, since the comparison is then False."""
-    bounds = [0.0] * len(corpus)
+    the summed gain of the distinct query tokens it holds: its bound. The
+    tokens' postings are read in descending gain, and the best-bound new
+    candidate of each token is scored to raise the floor, the best score so
+    far. Reading stops once the summed gain of the unread tokens (with a
+    margin for rounding) is below the floor: a candidate holding only those
+    cannot win. The candidates of the tokens read are then ranked in
+    ascending id, skipping every one whose bound stays below the floor."""
+    gain_of: dict[str, float] = {}
     for token, gain in zip(query_tokens, gains):
-        for entry_id in corpus.inverted_index.get(token, ()):
-            bounds[entry_id] += gain
-    candidates = corpus.candidate_ids(query_tokens)
-    if not candidates:
-        return None
-    # max() keeps the first of equal bounds: the lowest id.
-    top = max(candidates, key=bounds.__getitem__)
-    floor = scorer(query_tokens, corpus.tokens[top])
+        gain_of[token] = gain_of.get(token, 0.0) + gain
+    order = sorted(gain_of, key=gain_of.__getitem__, reverse=True)
+    # unread[k]: summed gain of order[k:], added up from the low-gain end; a
+    # running total minus the gains read would lose small gains beside a huge one.
+    unread = [0.0] * (len(order) + 1)
+    for k in range(len(order) - 1, -1, -1):
+        unread[k] = gain_of[order[k]] + unread[k + 1]
+    bounds: dict[int, float] = {}
+    scores: dict[int, float] = {}
+    floor = -math.inf
+    read = 0
+    for token in order:
+        if unread[read] * (1 + 1e-9) < floor:
+            break
+        read += 1
+        new = [entry_id for entry_id in corpus.inverted_index.get(token, ()) if entry_id not in bounds]
+        for entry_id in new:
+            bounds[entry_id] = sum(gain_of.get(t, 0.0) for t in dict.fromkeys(corpus.tokens[entry_id]))
+        if new:
+            top = max(new, key=bounds.__getitem__)
+            if bounds[top] * (1 + 1e-9) >= floor:
+                scores[top] = value = scorer(query_tokens, corpus.tokens[top])
+                floor = max(floor, value)
     best: tuple[int, float] | None = None
-    for entry_id in candidates:
-        if entry_id == top:
-            value = floor
-        elif bounds[entry_id] * (1 + 1e-9) < floor:
-            continue
-        else:
+    for entry_id in corpus.candidate_ids(order[:read]):
+        value = scores.get(entry_id)
+        if value is None:
+            if bounds[entry_id] * (1 + 1e-9) < floor:
+                continue
             value = scorer(query_tokens, corpus.tokens[entry_id])
+            floor = max(floor, value)
         if best is None or value > best[1]:
             best = (entry_id, value)
     return best
@@ -285,9 +304,19 @@ def resolve(mention: str | Query, corpus: Corpus, config: ErConfig) -> MatchResu
     return result
 
 
+def _one_token(path: str | Path, number: int, text: str) -> str:
+    """The query token ``text`` stands for; a value that is not one token with
+    a letter or digit could never match one, so it raises naming the line."""
+    words = text.upper().split()
+    token = _clean_token(words[0]) if len(words) == 1 else ""
+    if not token:
+        raise ValueError(f"{path}:{number}: expected one token with a letter or digit, got {text.strip()!r}")
+    return token
+
+
 def load_stop_words(path: str | Path) -> frozenset[str]:
-    words = {_clean_token(line.upper()) for _, line in entry_lines(path)}
-    return frozenset(w for w in words if w)
+    """Stop-word file: one token per line."""
+    return frozenset(_one_token(path, number, line) for number, line in entry_lines(path))
 
 
 def load_abbreviations(path: str | Path) -> dict[str, tuple[str, ...]]:
@@ -318,5 +347,5 @@ def load_weight_overrides(path: str | Path) -> dict[str, float]:
             raise ValueError(f"{path}:{number}: bad weight {value.strip()!r}") from exc
         if not 0 <= weight <= MAX_WEIGHT:
             raise ValueError(f"{path}:{number}: weight must be >= 0 and <= {MAX_WEIGHT}, got {value.strip()!r}")
-        overrides[_clean_token(token.strip().upper())] = weight
+        overrides[_one_token(path, number, token)] = weight
     return overrides

@@ -75,7 +75,7 @@ def name_list_from_strings(raw_names: Iterable[str], source_id: str) -> NameList
             dropped_duplicates += 1
             continue
         seen[name.text] = name
-    names = tuple(sorted(seen.values()))
+    names = tuple(seen[text] for text in sorted(seen))
     return NameList(source_id, names, dropped_short, dropped_duplicates)
 
 

@@ -31,13 +31,9 @@ def name_tokens(text: str) -> TokenSeq:
 
 def join_tokens(tokens: Sequence[str]) -> str:
     """Inverse of :func:`name_tokens`: single spaces between tokens, commas re-attached."""
-    parts: list[str] = []
-    for tok in tokens:
-        if tok == COMMA or not parts:
-            parts.append(tok)
-        else:
-            parts.append(" " + tok)
-    return "".join(parts)
+    # Tokens hold no separator and a comma is always a token of its own, so
+    # " ," occurs only where a comma token follows another token.
+    return " ".join(tokens).replace(" " + COMMA, COMMA)
 
 
 def read_utf8(path: str | Path) -> str:

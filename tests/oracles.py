@@ -232,3 +232,20 @@ def ob_tokens(text: str) -> list[tuple[str, int, int]]:
         tokens.append((text[i:j].upper(), i, j))
         i = j
     return tokens
+
+
+def ob_join_tokens(tokens: Sequence[str]) -> str:
+    """Token loop: single spaces between tokens, each comma re-attached to
+    the text before it."""
+    parts: list[str] = []
+    for tok in tokens:
+        if tok == "," or not parts:
+            parts.append(tok)
+        else:
+            parts.append(" " + tok)
+    return "".join(parts)
+
+
+def ob_clean_token(token: str) -> str:
+    """Character loop: the characters of ``token`` with ``str.isalnum()``."""
+    return "".join(ch for ch in token if ch.isalnum())

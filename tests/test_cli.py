@@ -373,6 +373,30 @@ def test_weight_override_above_limit_exits_2(workspace, capsys, value):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--stop-words", "THE\nOF THE\n"),
+        ("--stop-words", "THE\n-\n"),
+        ("--weight-overrides", "BANK\t1.0\nWELLS FARGO\t2.0\n"),
+        ("--weight-overrides", "BANK\t1.0\n&\t3\n"),
+    ],
+)
+def test_token_no_query_can_hold_exits_2(workspace, capsys, flag, text):
+    # Stored as OFTHE, dropped, stored as WELLSFARGO and as '': no query
+    # token is any of these.
+    tmp_path, config, doc = workspace
+    mentions = tmp_path / "m.tsv"
+    mentions.write_text("doc1.txt\t0\t16\tBODY\tGranite Harbor Bank\n", encoding="utf-8")
+    path = tmp_path / "tokens.txt"
+    path.write_text(text, encoding="utf-8")
+    out_path = tmp_path / "resolved.tsv"
+    args = ["resolve", "--config", str(config), flag, str(path), "--output", str(out_path), str(mentions)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:2: expected one token with a letter or digit")
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_negative_role_window_exits_2(workspace, capsys, source):
     tmp_path, config, doc = workspace

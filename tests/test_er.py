@@ -3,7 +3,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finames.er import (
@@ -11,6 +11,7 @@ from finames.er import (
     Corpus,
     ErConfig,
     Query,
+    _clean_token,
     best_candidate,
     best_match,
     build_corpus,
@@ -27,7 +28,7 @@ from finames.er import (
 )
 from finames.ingest import name_list_from_strings
 
-from oracles import ob_best_match, ob_resolve, ob_sb, ob_sc, ob_score, ob_sq
+from oracles import ob_best_match, ob_clean_token, ob_resolve, ob_sb, ob_sc, ob_score, ob_sq
 
 UNIT = lambda token: 1.0  # noqa: E731
 
@@ -58,6 +59,18 @@ def test_preprocess_strips_punctuation_keeps_residual_letters():
 
 def test_preprocess_keeps_digit_tokens():
     assert preprocess("SERIES 2005-HE3", PLAIN).tokens == ("SERIES", "2005HE3")
+
+
+# Punctuation, a combining mark, superscript and fraction digits, a Roman
+# numeral and letters from other scripts.
+_CLEAN_CHARS = ["-", ".", "&", "'", "\u0301", "²", "½", "Ⅻ", "ß", "é", "ж", "٣", "A", "7"]
+
+
+@given(st.text(st.sampled_from(_CLEAN_CHARS) | st.characters()))
+@example("")
+@example("N.A.")
+def test_clean_token_equals_character_loop_oracle(token):
+    assert _clean_token(token) == ob_clean_token(token)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +289,42 @@ def test_best_candidate_skips_candidates_that_cannot_win():
     assert len(corpus.candidate_ids(q)) == 50
     assert len(calls) < 50
     assert got == ob_best_match(q, corpus.tokens, corpus.weight)
+
+
+def spy_candidate_ids(monkeypatch):
+    """The lists ``Corpus.candidate_ids`` returns from now on, one per call."""
+    returned = []
+    original = Corpus.candidate_ids
+
+    def spy(self, query_tokens):
+        returned.append(original(self, query_tokens))
+        return returned[-1]
+
+    monkeypatch.setattr(Corpus, "candidate_ids", spy)
+    return returned
+
+
+def test_repeated_query_token_is_read_once_with_every_position(monkeypatch):
+    # BANK holds positions 0 and 2: its postings are read once, and its gain
+    # covers both, since the s_b block of ZETA BANK takes position 2.
+    corpus = corpus_of("ALPHA BANK", "BANK ZETA", "ZETA BANK", "ZETA TRUST")
+    returned = spy_candidate_ids(monkeypatch)
+    result = best_match("BANK ZETA BANK", corpus, PLAIN)
+    q = ("BANK", "ZETA", "BANK")
+    assert (result.entry_id, result.score) == ob_best_match(q, corpus.tokens, corpus.weight)
+    assert result.entry_name == "BANK ZETA"
+    assert len(returned) == 1
+
+
+def test_walk_stops_before_postings_that_cannot_win(monkeypatch):
+    # BANK is in all 201 names, ZETA in one: once ZETA BANK is scored, BANK's
+    # gain cannot lift any name not yet seen to its score.
+    corpus = corpus_of(*(f"NAME{i:03d} BANK" for i in range(200)), "ZETA BANK")
+    returned = spy_candidate_ids(monkeypatch)
+    result = best_match("ZETA BANK", corpus, PLAIN)
+    assert result.entry_name == "ZETA BANK"
+    assert (result.entry_id, result.score) == ob_best_match(("ZETA", "BANK"), corpus.tokens, corpus.weight)
+    assert len(returned) == 1 and len(returned[0]) <= 2
 
 
 # ---------------------------------------------------------------------------

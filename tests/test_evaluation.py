@@ -317,6 +317,13 @@ weight_strategy = st.sampled_from(EDGE_WEIGHTS) | st.floats(min_value=0.0, max_v
     names=[(["ALPHA"], 0), (["ALPHA", "ALPHA"], 0)], duplicates=[], overrides={}, picked=None, before=[],
     after=["ALPHA", "ALPHA"],
 )
+# ALPHA's gain is 1e300, TRUST's are tiny. Once ALPHA's postings are read,
+# the unread gain is TRUST's alone; as 1e300 + tiny - 1e300 it would be 0 and
+# stop the walk before TRUST, which holds the winner.
+@example(
+    names=[([], 0), ([], 0), (["ALPHA"], 1)], duplicates=[], overrides={"ALPHA": 1e300}, picked=26,
+    before=["TRUST"], after=[],
+)
 def test_pruned_ranking_equals_brute_force_with_heavy_postings(names, duplicates, overrides, picked, before, after):
     # TRUST goes into nine names in ten (and into every name that would be
     # empty), so its postings cover most of the corpus, as BANK's do in a

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from finames.ingest import (
@@ -16,6 +16,8 @@ from finames.ingest import (
 )
 from finames.cli import PipelineConfig
 from finames.textutil import entry_lines, join_tokens, name_tokens
+
+from oracles import ob_join_tokens
 
 
 def test_load_name_list_case_fold_dedup(tmp_path):
@@ -94,6 +96,17 @@ def test_normalized_tokens_round_trip():
         name = normalize_name(raw)
         assert join_tokens(name.tokens) == name.text
         assert name_tokens(name.text) == name.tokens
+
+
+# Separators, commas and letters whose uppercase is longer.
+_JOIN_CHARS = [",", " ", "\t", "\x00", "\u3000", "ß", "ŉ", "a"]
+
+
+@given(st.text(st.sampled_from(_JOIN_CHARS) | st.characters()))
+@example(",a ,, b,")
+def test_join_tokens_equals_token_loop_oracle(text):
+    tokens = name_tokens(text)
+    assert join_tokens(tokens) == ob_join_tokens(tokens)
 
 
 @given(st.text(max_size=60))
@@ -198,3 +211,10 @@ def test_name_list_from_strings_counts():
     assert result.dropped_short == 1
     assert result.dropped_duplicates == 1
     assert [n.text for n in result.names] == ["GRANITE HARBOR"]
+
+
+def test_name_list_from_strings_orders_by_text():
+    raw = ["zeta bank", "ALPHA, TRUST", "alpha trust", "Beta Bank", "ALPHA TRUST CO"]
+    result = name_list_from_strings(raw, "x")
+    texts = [n.text for n in result.names]
+    assert texts == ["ALPHA TRUST", "ALPHA TRUST CO", "ALPHA, TRUST", "BETA BANK", "ZETA BANK"]
