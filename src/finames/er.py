@@ -15,6 +15,7 @@ scrambled one.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import sys
@@ -67,16 +68,26 @@ def _clean_token(token: str) -> str:
     return token if token.isalnum() else "".join(filter(str.isalnum, token))
 
 
-def preprocess(mention: str, config: ErConfig) -> Query:
-    """Uppercase, strip punctuation, expand abbreviations, drop stop words."""
-    expanded: list[str] = []
-    for raw in mention.upper().split():
+def _tokens(text: str, config: ErConfig) -> tuple[str, ...]:
+    """The query tokens of ``text``, shared by queries and corpus names."""
+    abbreviations, stop_words = config.abbreviations, config.stop_words
+    tokens: list[str] = []
+    for raw in text.upper().split():
         cleaned = _clean_token(raw)
         if not cleaned:
             continue
-        expanded.extend(config.abbreviations.get(cleaned, (cleaned,)))
-    tokens = tuple(tok for tok in expanded if tok not in config.stop_words)
-    return Query(mention, tokens)
+        expansion = abbreviations.get(cleaned)
+        if expansion is None:
+            if cleaned not in stop_words:
+                tokens.append(cleaned)
+        else:
+            tokens.extend(tok for tok in expansion if tok not in stop_words)
+    return tuple(tokens)
+
+
+def preprocess(mention: str, config: ErConfig) -> Query:
+    """Uppercase, strip punctuation, expand abbreviations, drop stop words."""
+    return Query(mention, _tokens(mention, config))
 
 
 @dataclass(frozen=True)
@@ -96,10 +107,10 @@ class Corpus:
         return self.entries[entry_id].text
 
     def weight(self, token: str) -> float:
-        override = self.weight_overrides.get(token)
-        if override is not None:
-            return override
-        return self.idf.get(token, math.log(len(self.entries)))
+        weight = self.weight_overrides.get(token)
+        if weight is None:
+            weight = self.idf.get(token)
+        return math.log(len(self.entries)) if weight is None else weight
 
     def candidate_ids(self, query_tokens: Sequence[str]) -> list[int]:
         """Entries sharing at least one token with the query, ascending id."""
@@ -110,20 +121,25 @@ class Corpus:
 
 
 def build_corpus(names: NameList, config: ErConfig) -> Corpus:
-    """Preprocess every corpus name and build the index and IDF table.
+    """Preprocess every corpus name as a query is and build the index and IDF
+    table.
 
-    A name that preprocesses to nothing is kept with its raw tokens so it
-    stays resolvable, with a warning.
+    A name that preprocesses to nothing (only stop words or punctuation) keeps
+    its cleaned raw tokens, with a warning: it keeps its entry id and its share
+    of the IDF count, but no query can match it, since queries drop those tokens.
     """
     if not names.names:
         raise ValueError("corpus requires at least one name")
     entry_tokens: list[tuple[str, ...]] = []
     for name in names.names:
-        tokens = preprocess(name.text, config).tokens
+        tokens = _tokens(name.text, config)
         if not tokens:
             fallback = tuple(t for t in (_clean_token(tok) for tok in name.tokens) if t)
             tokens = fallback or tuple(tok for tok in name.tokens if tok != ",")
-            logger.warning("corpus name %r empty after preprocessing; keeping raw tokens", name.text)
+            logger.warning(
+                "corpus name %r empty after preprocessing; keeping its raw tokens, which no query can match",
+                name.text,
+            )
         entry_tokens.append(tokens)
     index: dict[str, list[int]] = {}
     for entry_id, tokens in enumerate(entry_tokens):
@@ -214,35 +230,106 @@ def decayed_gains(query_tokens: Sequence[str], weight: Callable[[str], float]) -
     return tuple(0.5**i * (weight(token) + block) for i, token in enumerate(query_tokens))
 
 
+def _gain_of(query_tokens: Sequence[str], gains: Sequence[float]) -> dict[str, float]:
+    """Summed gain of each distinct query token over its positions."""
+    gain_of: dict[str, float] = {}
+    for token, gain in zip(query_tokens, gains):
+        gain_of[token] = gain_of.get(token, 0.0) + gain
+    return gain_of
+
+
+def gain_cap(query_tokens: Sequence[str], gains: Sequence[float]) -> Callable[[Sequence[str]], float]:
+    """Cap of a scorer whose position ``i`` adds at most ``gains[i]`` to a
+    candidate holding ``query_tokens[i]``: the summed gain of the distinct
+    query tokens a candidate holds."""
+    gain_of = _gain_of(query_tokens, gains)
+    return lambda p: sum(gain_of.get(token, 0.0) for token in dict.fromkeys(p))
+
+
+@functools.cache
+def _run_share(length: int, start: int, end: int) -> float:
+    """``s_c`` of a candidate of ``length`` tokens whose run is ``start..end-1``;
+    the cache holds at most ``2 * length`` entries per candidate length."""
+    return sum(0.5**j for j in range(start, end)) / sum(0.5**j for j in range(length))
+
+
+def score_cap(
+    query_tokens: Sequence[str], weight: Callable[[str], float], sc: bool = True, sb: bool = True
+) -> Callable[[Sequence[str]], float]:
+    """Cap of ``score`` against a candidate (of ``s_q * s_c`` without ``sb``,
+    of ``s_q`` alone without ``sc`` either) that skips the order checks.
+
+    ``s_q`` counts at most the query's leading run of held positions (0 if
+    held, then 1, 2, … up to the first one the candidate lacks), and ``s_c``
+    at most the candidate's leading run of tokens the query holds; ``s_b``
+    needs every candidate token in the query and counts only held positions.
+    The ``s_q`` part is summed as ``score_sq`` sums it, so where the runs
+    agree it equals the score's exactly, however small the weights. The cap
+    is 0 when the candidate holds neither ``q[0]`` nor ``q[1]`` or the query
+    holds neither ``p[0]`` nor ``p[1]``, unless ``sb`` is set and every
+    candidate token is in the query."""
+    q = tuple(query_tokens)
+    held_at: dict[str, int] = {}  # token -> bit mask of its query positions
+    for i, token in enumerate(q):
+        held_at[token] = held_at.get(token, 0) | 1 << i
+    sq_of: dict[int, float] = {}  # mask of held positions -> s_q cap
+
+    def cap(p: Sequence[str]) -> float:
+        mask = 0
+        inside = True
+        for token in p:
+            positions = held_at.get(token)
+            if positions is None:
+                inside = False
+            else:
+                mask |= positions
+        value = sq_of.get(mask)
+        if value is None:
+            rest = mask >> 1
+            # The run after position 0 ends before the lowest position not held.
+            end = (~rest & (rest + 1)).bit_length()
+            sq_of[mask] = value = sum((0.5**i * weight(q[i]) for i in range(1 - (mask & 1), end)), 0.0)
+        if sc and value:
+            j = 1
+            while j < len(p) and p[j] in held_at:
+                j += 1
+            value *= _run_share(len(p), 0 if p[0] in held_at else 1, j)
+        if sb and inside and mask:
+            value += sum(0.5**i for i in range(len(q)) if mask >> i & 1) / sum(0.5**i for i in range(len(q)))
+        return value
+
+    return cap
+
+
 def best_candidate(
     query_tokens: Sequence[str],
     corpus: Corpus,
     scorer: Callable[[Sequence[str], Sequence[str]], float],
     gains: Sequence[float],
+    cap: Callable[[Sequence[str]], float],
 ) -> tuple[int, float] | None:
     """(entry id, score) of the candidate ``scorer(query_tokens, candidate)``
     ranks highest; only a strictly higher score replaces the leader, so ties go
     to the lowest entry id. None when no entry shares a token with the query.
 
     ``gains[i]`` must bound what position ``i`` adds to the score of a
-    candidate holding ``query_tokens[i]``, so a candidate's score is at most
-    the summed gain of the distinct query tokens it holds: its bound. The
-    tokens' postings are read in descending gain, and the best-bound new
-    candidate of each token is scored to raise the floor, the best score so
-    far. Reading stops once the summed gain of the unread tokens (with a
-    margin for rounding) is below the floor: a candidate holding only those
+    candidate holding ``query_tokens[i]``, and ``cap(candidate)`` must bound
+    the candidate's score, up to a ``1e-9`` relative margin for rounding. The
+    tokens' postings are read in descending gain, and the best-capped new
+    candidate of each token is scored when it can raise the floor, the best
+    score so far. Reading stops once the summed gain of the unread tokens
+    (with the margin) is below the floor: a candidate holding only those
     cannot win. The candidates of the tokens read are then ranked in
-    ascending id, skipping every one whose bound stays below the floor."""
-    gain_of: dict[str, float] = {}
-    for token, gain in zip(query_tokens, gains):
-        gain_of[token] = gain_of.get(token, 0.0) + gain
+    ascending id, skipping every one whose cap stays below the floor or is
+    not above the leader's score, which a later id must beat."""
+    gain_of = _gain_of(query_tokens, gains)
     order = sorted(gain_of, key=gain_of.__getitem__, reverse=True)
     # unread[k]: summed gain of order[k:], added up from the low-gain end; a
     # running total minus the gains read would lose small gains beside a huge one.
     unread = [0.0] * (len(order) + 1)
     for k in range(len(order) - 1, -1, -1):
         unread[k] = gain_of[order[k]] + unread[k + 1]
-    bounds: dict[int, float] = {}
+    caps: dict[int, float] = {}
     scores: dict[int, float] = {}
     floor = -math.inf
     read = 0
@@ -250,19 +337,20 @@ def best_candidate(
         if unread[read] * (1 + 1e-9) < floor:
             break
         read += 1
-        new = [entry_id for entry_id in corpus.inverted_index.get(token, ()) if entry_id not in bounds]
+        new = [entry_id for entry_id in corpus.inverted_index.get(token, ()) if entry_id not in caps]
         for entry_id in new:
-            bounds[entry_id] = sum(gain_of.get(t, 0.0) for t in dict.fromkeys(corpus.tokens[entry_id]))
+            caps[entry_id] = cap(corpus.tokens[entry_id])
         if new:
-            top = max(new, key=bounds.__getitem__)
-            if bounds[top] * (1 + 1e-9) >= floor:
+            top = max(new, key=caps.__getitem__)
+            if caps[top] * (1 + 1e-9) > floor:
                 scores[top] = value = scorer(query_tokens, corpus.tokens[top])
                 floor = max(floor, value)
     best: tuple[int, float] | None = None
     for entry_id in corpus.candidate_ids(order[:read]):
         value = scores.get(entry_id)
         if value is None:
-            if bounds[entry_id] * (1 + 1e-9) < floor:
+            limit = caps[entry_id] * (1 + 1e-9)
+            if limit < floor or best is not None and limit <= best[1]:
                 continue
             value = scorer(query_tokens, corpus.tokens[entry_id])
             floor = max(floor, value)
@@ -279,7 +367,11 @@ def best_match(mention: str | Query, corpus: Corpus, config: ErConfig) -> MatchR
         logger.warning("query %r is empty after preprocessing", query.original)
         return None
     best = best_candidate(
-        query.tokens, corpus, lambda q, p: score(q, p, corpus.weight), decayed_gains(query.tokens, corpus.weight)
+        query.tokens,
+        corpus,
+        lambda q, p: score(q, p, corpus.weight),
+        decayed_gains(query.tokens, corpus.weight),
+        score_cap(query.tokens, corpus.weight),
     )
     if best is None:
         return None
@@ -320,16 +412,18 @@ def load_stop_words(path: str | Path) -> frozenset[str]:
 
 
 def load_abbreviations(path: str | Path) -> dict[str, tuple[str, ...]]:
-    """Abbreviation file: ABBREV<TAB>EXPANSION, one per line."""
+    """Abbreviation file: ABBREV<TAB>EXPANSION, one per line. The abbreviation
+    is one query token, and the expansion keeps at least one."""
     mapping: dict[str, tuple[str, ...]] = {}
     for number, line in entry_lines(path):
         abbrev, sep, expansion = line.partition("\t")
         if not sep or not expansion.strip():
             raise ValueError(f"{path}:{number}: expected ABBREV<TAB>EXPANSION")
-        key = _clean_token(abbrev.strip().upper())
+        key = _one_token(path, number, abbrev)
         value = tuple(t for t in (_clean_token(tok) for tok in expansion.upper().split()) if t)
-        if key and value:
-            mapping[key] = value
+        if not value:
+            raise ValueError(f"{path}:{number}: expansion has no token with a letter or digit: {expansion.strip()!r}")
+        mapping[key] = value
     return mapping
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .er import (
     Corpus,
@@ -18,8 +18,10 @@ from .er import (
     MatchResult,
     best_candidate,
     decayed_gains,
+    gain_cap,
     preprocess,
     score,
+    score_cap,
     score_sc,
     score_sq,
 )
@@ -230,6 +232,17 @@ def baseline_score(variant: str, q: Sequence[str], p: Sequence[str], corpus: Cor
     raise ValueError(f"unknown variant {variant!r}; expected one of {SCORE_VARIANTS}")
 
 
+def variant_cap(variant: str, q: Sequence[str], corpus: Corpus) -> Callable[[Sequence[str]], float]:
+    """Cap of ``baseline_score(variant, q, p, corpus)`` from the tokens of ``p``.
+
+    ``idf`` sums each held position's weight undecayed, so its cap is that sum
+    per held token; the other variants are capped like the parts of the full
+    score they keep."""
+    if variant == "idf":
+        return gain_cap(q, [corpus.weight(token) for token in q])
+    return score_cap(q, corpus.weight, sc=variant != "sq", sb=variant == "full")
+
+
 def variant_best_match(
     variant: str, mention: str, corpus: Corpus, config: ErConfig
 ) -> tuple[int, float] | None:
@@ -237,13 +250,18 @@ def variant_best_match(
     query = preprocess(mention, config)
     if not query.tokens:
         return None
-    # ``idf`` sums each held position's weight undecayed; the other variants
-    # are bounded like the full score, whose s_b part they leave out.
+    # ``idf`` adds each held position's weight undecayed.
     if variant == "idf":
         gains = tuple(corpus.weight(token) for token in query.tokens)
     else:
         gains = decayed_gains(query.tokens, corpus.weight)
-    return best_candidate(query.tokens, corpus, lambda q, p: baseline_score(variant, q, p, corpus), gains)
+    return best_candidate(
+        query.tokens,
+        corpus,
+        lambda q, p: baseline_score(variant, q, p, corpus),
+        gains,
+        variant_cap(variant, query.tokens, corpus),
+    )
 
 
 def pseudo_recall(results: Iterable[MatchResult | float], threshold: float) -> float | None:

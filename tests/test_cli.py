@@ -380,11 +380,15 @@ def test_weight_override_above_limit_exits_2(workspace, capsys, value):
         ("--stop-words", "THE\n-\n"),
         ("--weight-overrides", "BANK\t1.0\nWELLS FARGO\t2.0\n"),
         ("--weight-overrides", "BANK\t1.0\n&\t3\n"),
+        ("--abbreviations", "WaMu\tWashington Mutual\nWELLS FARGO\tWF\n"),
+        ("--abbreviations", "WaMu\tWashington Mutual\n&\tAND CO\n"),
     ],
 )
 def test_token_no_query_can_hold_exits_2(workspace, capsys, flag, text):
-    # Stored as OFTHE, dropped, stored as WELLSFARGO and as '': no query
-    # token is any of these.
+    # Stored as OFTHE, dropped, stored as WELLSFARGO and as '', then an
+    # abbreviation key stored as WELLSFARGO and one dropped: no query token
+    # is any of these, and preprocessing looks abbreviations up one token
+    # at a time.
     tmp_path, config, doc = workspace
     mentions = tmp_path / "m.tsv"
     mentions.write_text("doc1.txt\t0\t16\tBODY\tGranite Harbor Bank\n", encoding="utf-8")
@@ -394,6 +398,20 @@ def test_token_no_query_can_hold_exits_2(workspace, capsys, flag, text):
     args = ["resolve", "--config", str(config), flag, str(path), "--output", str(out_path), str(mentions)]
     assert main(args) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}:2: expected one token with a letter or digit")
+    assert not out_path.exists()
+
+
+def test_abbreviation_expanding_to_no_token_exits_2(workspace, capsys):
+    # WAMU<TAB>& used to be dropped without a word: its expansion keeps no token.
+    tmp_path, config, doc = workspace
+    mentions = tmp_path / "m.tsv"
+    mentions.write_text("doc1.txt\t0\t16\tBODY\tGranite Harbor Bank\n", encoding="utf-8")
+    path = tmp_path / "abbreviations.tsv"
+    path.write_text("WaMu\tWashington Mutual\nWAMU\t&\n", encoding="utf-8")
+    out_path = tmp_path / "resolved.tsv"
+    args = ["resolve", "--config", str(config), "--abbreviations", str(path), "--output", str(out_path)]
+    assert main(args + [str(mentions)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:2: expansion has no token with a letter or digit")
     assert not out_path.exists()
 
 

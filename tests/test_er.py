@@ -22,6 +22,7 @@ from finames.er import (
     preprocess,
     resolve,
     score,
+    score_cap,
     score_sb,
     score_sc,
     score_sq,
@@ -106,6 +107,21 @@ def test_empty_entry_kept_with_raw_tokens(caplog):
         corpus = corpus_of("THE LLC", "ALPHA BANK", config=config)
     assert ("LLC",) in corpus.tokens or ("THE", "LLC") in corpus.tokens
     assert any("empty after preprocessing" in r.message for r in caplog.records)
+
+
+def test_stop_word_only_name_keeps_its_id_and_idf_share_but_no_query_matches_it(caplog):
+    # THE CO and A & CO preprocess to nothing under the default stop words;
+    # they keep their cleaned raw tokens, which no query holds.
+    config = ErConfig()
+    with caplog.at_level(logging.WARNING):
+        corpus = corpus_of("THE CO", "A & CO", "ALPHA BANK", "BETA BANK", config=config)
+    assert [corpus.name(i) for i in range(len(corpus))] == ["A & CO", "ALPHA BANK", "BETA BANK", "THE CO"]
+    assert corpus.tokens[0] == ("A", "CO") and corpus.tokens[3] == ("THE", "CO")
+    assert corpus.idf["BANK"] == pytest.approx(math.log(4 / 2))
+    assert corpus.idf["CO"] == pytest.approx(math.log(4 / 2))
+    assert sum("no query can match" in r.message for r in caplog.records) == 2
+    assert best_match("The Co", corpus, config) is None
+    assert best_match("A & Co", corpus, config) is None
 
 
 def test_inverted_index_lists_entries_once():
@@ -285,7 +301,7 @@ def test_best_candidate_skips_candidates_that_cannot_win():
         calls.append(p_tokens)
         return score(q_tokens, p_tokens, corpus.weight)
 
-    got = best_candidate(q, corpus, counting, decayed_gains(q, corpus.weight))
+    got = best_candidate(q, corpus, counting, decayed_gains(q, corpus.weight), score_cap(q, corpus.weight))
     assert len(corpus.candidate_ids(q)) == 50
     assert len(calls) < 50
     assert got == ob_best_match(q, corpus.tokens, corpus.weight)
@@ -325,6 +341,24 @@ def test_walk_stops_before_postings_that_cannot_win(monkeypatch):
     assert result.entry_name == "ZETA BANK"
     assert (result.entry_id, result.score) == ob_best_match(("ZETA", "BANK"), corpus.tokens, corpus.weight)
     assert len(returned) == 1 and len(returned[0]) <= 2
+
+
+def test_tie_at_zero_costs_one_scorer_call(monkeypatch):
+    # NUNANE and VETA are in no name, so every candidate holds neither of the
+    # query's first two tokens and none lies inside the query: each one's cap
+    # is 0, the first scores 0, and no later id can beat it.
+    corpus = corpus_of(*(f"NAME{i:03d} BANK" for i in range(200)))
+    calls = []
+
+    def counting(q, p, weight):
+        calls.append(p)
+        return score(q, p, weight)
+
+    monkeypatch.setattr("finames.er.score", counting)
+    result = best_match("NUNANE VETA BANK", corpus, PLAIN)
+    assert (result.entry_id, result.score) == (0, 0.0)
+    assert (result.entry_id, result.score) == ob_best_match(("NUNANE", "VETA", "BANK"), corpus.tokens, corpus.weight)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

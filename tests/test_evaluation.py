@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finames.er import MAX_WEIGHT, ErConfig, best_match, build_corpus, preprocess
+from finames.er import MAX_WEIGHT, ErConfig, best_match, build_corpus, decayed_gains, gain_cap, preprocess
 from finames.evaluation import (
     CORRECT,
     PAR,
@@ -20,6 +20,7 @@ from finames.evaluation import (
     pseudo_recall,
     render_report,
     variant_best_match,
+    variant_cap,
 )
 from finames.ingest import name_list_from_strings
 
@@ -324,6 +325,19 @@ weight_strategy = st.sampled_from(EDGE_WEIGHTS) | st.floats(min_value=0.0, max_v
     names=[([], 0), ([], 0), (["ALPHA"], 1)], duplicates=[], overrides={"ALPHA": 1e300}, picked=26,
     before=["TRUST"], after=[],
 )
+# The query's first two words are in no name and no name lies inside it, so
+# every candidate ties at 0 under all but ``idf`` (SAVINGS gives TRUST a
+# positive weight); the lowest id must win.
+@example(
+    names=[(["ALPHA"], 1), (["CAPITAL"], 1), (["FUNDS"], 2), (["SAVINGS"], 0)], duplicates=[], overrides={},
+    picked=None, before=["OTHER", "BRAVO"], after=["TRUST"],
+)
+# A one-word query, as a bare BANK is in a registry: every ``<word> TRUST``
+# name ties at the same positive score.
+@example(
+    names=[(["ALPHA"], 1), (["CAPITAL"], 1), (["FUNDS"], 1), (["SAVINGS"], 0)], duplicates=[], overrides={},
+    picked=None, before=["TRUST"], after=[],
+)
 def test_pruned_ranking_equals_brute_force_with_heavy_postings(names, duplicates, overrides, picked, before, after):
     # TRUST goes into nine names in ten (and into every name that would be
     # empty), so its postings cover most of the corpus, as BANK's do in a
@@ -352,6 +366,40 @@ def test_pruned_ranking_equals_brute_force_with_heavy_postings(names, duplicates
     full = best_match(mention, corpus, config)
     assert (None if full is None else (full.entry_id, full.score)) == got["full"]
     assert ob_best_match(q, corpus.tokens, corpus.weight) == got["full"]
+
+
+CAP_WORDS = ["ALPHA", "BRAVO", "CAPITAL", "DELTA"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    # ECHO is only ever in the query and OTHER only in the candidate.
+    q=st.lists(st.sampled_from(CAP_WORDS + ["ECHO"]), min_size=1, max_size=6),
+    p=st.lists(st.sampled_from(CAP_WORDS + ["OTHER"]), min_size=1, max_size=5),
+    weights=st.lists(st.sampled_from(EDGE_WEIGHTS), min_size=len(CAP_WORDS) + 2, max_size=len(CAP_WORDS) + 2),
+)
+def test_variant_caps_bound_their_scores_and_vanish_where_no_run_starts(q, p, weights):
+    overrides = dict(zip(CAP_WORDS + ["ECHO", "OTHER"], weights))
+    config = ErConfig(threshold=0.0, stop_words=frozenset(), abbreviations={}, weight_overrides=overrides)
+    corpus = build_corpus(name_list_from_strings(["ALPHA BRAVO"], "c"), config)
+    held = set(q) & set(p)
+    no_query_lead = not held & set(q[:2])  # p holds neither q[0] nor q[1]
+    no_candidate_lead = not held & set(p[:2])  # q holds neither p[0] nor p[1]
+    inside = set(p) <= set(q)
+    zero = {
+        "idf": not held,
+        "sq": no_query_lead,
+        "sqsc": no_query_lead or no_candidate_lead,
+        "full": no_candidate_lead or no_query_lead and not inside,
+    }
+    held_gain = gain_cap(q, decayed_gains(q, corpus.weight))(p)
+    for variant in SCORE_VARIANTS:
+        cap = variant_cap(variant, q, corpus)(p)
+        assert cap * (1 + 1e-9) >= baseline_score(variant, q, p, corpus), variant
+        if zero[variant]:
+            assert cap == 0.0, variant
+        if variant != "idf":
+            assert cap <= held_gain * (1 + 1e-9), variant
 
 
 # ---------------------------------------------------------------------------
