@@ -196,20 +196,21 @@ def cmd_extract(args: argparse.Namespace) -> int:
     wanted_sections = _parse_sections(args.sections)
     keywords = frozenset(k.upper() for k in config.role_keywords)
 
-    def process(path: Path) -> list[ner.Mention]:
-        doc = load_document(path, section_config)
-        mentions = extractor.extract(doc)
-        if args.role_filter:
-            mentions = ner.filter_by_role_keyword(mentions, doc, keywords, config.window)
-        return [m for m in mentions if m.section in wanted_sections]
-
     skipped: list[str] = []
     mentions: list[ner.Mention] = []
     for path in args.documents:
         try:
-            mentions.extend(process(path))
-        except (OSError, UnicodeDecodeError) as exc:
+            doc = load_document(path, section_config)
+        except OSError as exc:
             skipped.append(f"{path}: {exc}")
+            continue
+        except ValueError as exc:  # undecodable; the message names the file
+            skipped.append(str(exc))
+            continue
+        found = extractor.extract(doc)
+        if args.role_filter:
+            found = ner.filter_by_role_keyword(found, doc, keywords, config.window)
+        mentions.extend(m for m in found if m.section in wanted_sections)
     mentions.sort(key=lambda m: (m.doc_id, m.start, m.end))
     lines = [f"{m.doc_id}\t{m.start}\t{m.end}\t{m.section}\t{m.surface}" for m in mentions]
     _emit("".join(line + "\n" for line in lines), args.output)
@@ -362,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pr-curve", parents=[common], help="precision-recall curve for a scoring variant")
     p.add_argument("labeled", type=Path)
-    p.add_argument("--variant", choices=evaluation.SCORE_VARIANTS, default="full")
+    p.add_argument("--variant", choices=er.SCORE_VARIANTS, default="full")
     p.add_argument("--corpus", dest="corpus")
     p.add_argument("--stop-words", dest="stop_words")
     p.add_argument("--abbreviations", dest="abbreviations")

@@ -37,8 +37,13 @@ DEFAULT_ABBREVIATIONS: Mapping[str, tuple[str, ...]] = {
 }
 
 # Largest accepted weight: s_q <= 2 * MAX_WEIGHT and s_b <= 1, so every score
-# and every ranking bound stays finite.
+# and every ranking bound stays finite; the undecayed ``idf`` sum saturates.
 MAX_WEIGHT = sys.float_info.max / 4
+
+SCORE_VARIANTS = ("idf", "sq", "sqsc", "full")
+
+# Factors (a, b, c) of a score a * b + c, as (s_q, s_c, s_b) for ``score``.
+Factors = tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -230,22 +235,6 @@ def decayed_gains(query_tokens: Sequence[str], weight: Callable[[str], float]) -
     return tuple(0.5**i * (weight(token) + block) for i, token in enumerate(query_tokens))
 
 
-def _gain_of(query_tokens: Sequence[str], gains: Sequence[float]) -> dict[str, float]:
-    """Summed gain of each distinct query token over its positions."""
-    gain_of: dict[str, float] = {}
-    for token, gain in zip(query_tokens, gains):
-        gain_of[token] = gain_of.get(token, 0.0) + gain
-    return gain_of
-
-
-def gain_cap(query_tokens: Sequence[str], gains: Sequence[float]) -> Callable[[Sequence[str]], float]:
-    """Cap of a scorer whose position ``i`` adds at most ``gains[i]`` to a
-    candidate holding ``query_tokens[i]``: the summed gain of the distinct
-    query tokens a candidate holds."""
-    gain_of = _gain_of(query_tokens, gains)
-    return lambda p: sum(gain_of.get(token, 0.0) for token in dict.fromkeys(p))
-
-
 @functools.cache
 def _run_share(length: int, start: int, end: int) -> float:
     """``s_c`` of a candidate of ``length`` tokens whose run is ``start..end-1``;
@@ -304,12 +293,13 @@ def score_cap(
 def best_candidate(
     query_tokens: Sequence[str],
     corpus: Corpus,
-    scorer: Callable[[Sequence[str], Sequence[str]], float],
+    scorer: Callable[[Sequence[str]], Factors],
     gains: Sequence[float],
     cap: Callable[[Sequence[str]], float],
-) -> tuple[int, float] | None:
-    """(entry id, score) of the candidate ``scorer(query_tokens, candidate)``
-    ranks highest; only a strictly higher score replaces the leader, so ties go
+) -> tuple[int, float, Factors] | None:
+    """(entry id, score, factors) of the candidate ranked highest, where
+    ``scorer(candidate)`` gives the factors ``(a, b, c)`` of the score
+    ``a * b + c``; only a strictly higher score replaces the leader, so ties go
     to the lowest entry id. None when no entry shares a token with the query.
 
     ``gains[i]`` must bound what position ``i`` adds to the score of a
@@ -322,15 +312,22 @@ def best_candidate(
     cannot win. The candidates of the tokens read are then ranked in
     ascending id, skipping every one whose cap stays below the floor or is
     not above the leader's score, which a later id must beat."""
-    gain_of = _gain_of(query_tokens, gains)
+    gain_of: dict[str, float] = {}  # summed gain of each distinct query token
+    for token, gain in zip(query_tokens, gains):
+        gain_of[token] = gain_of.get(token, 0.0) + gain
     order = sorted(gain_of, key=gain_of.__getitem__, reverse=True)
     # unread[k]: summed gain of order[k:], added up from the low-gain end; a
     # running total minus the gains read would lose small gains beside a huge one.
     unread = [0.0] * (len(order) + 1)
     for k in range(len(order) - 1, -1, -1):
         unread[k] = gain_of[order[k]] + unread[k + 1]
+
+    def scored(entry_id: int) -> tuple[float, Factors]:
+        a, b, c = factors = scorer(corpus.tokens[entry_id])
+        return a * b + c, factors
+
     caps: dict[int, float] = {}
-    scores: dict[int, float] = {}
+    results: dict[int, tuple[float, Factors]] = {}
     floor = -math.inf
     read = 0
     for token in order:
@@ -343,20 +340,47 @@ def best_candidate(
         if new:
             top = max(new, key=caps.__getitem__)
             if caps[top] * (1 + 1e-9) > floor:
-                scores[top] = value = scorer(query_tokens, corpus.tokens[top])
-                floor = max(floor, value)
-    best: tuple[int, float] | None = None
+                results[top] = result = scored(top)
+                floor = max(floor, result[0])
+    best: tuple[int, float, Factors] | None = None
     for entry_id in corpus.candidate_ids(order[:read]):
-        value = scores.get(entry_id)
-        if value is None:
+        result = results.get(entry_id)
+        if result is None:
             limit = caps[entry_id] * (1 + 1e-9)
             if limit < floor or best is not None and limit <= best[1]:
                 continue
-            value = scorer(query_tokens, corpus.tokens[entry_id])
-            floor = max(floor, value)
-        if best is None or value > best[1]:
-            best = (entry_id, value)
+            result = scored(entry_id)
+            floor = max(floor, result[0])
+        if best is None or result[0] > best[1]:
+            best = (entry_id, *result)
     return best
+
+
+def rank(query_tokens: Sequence[str], corpus: Corpus, variant: str = "full") -> tuple[int, float, Factors] | None:
+    """(entry id, score, factors) of the best candidate under a scoring variant,
+    lowest id on ties; None when the query is empty or shares no token with
+    the corpus. ``full`` is ``score`` with the factors ``(s_q, s_c, s_b)``;
+    ``sqsc`` drops ``s_b`` and ``sq`` keeps ``s_q`` alone. ``idf`` sums the
+    weight of every query position the candidate holds, without decay or
+    order, saturating at ``sys.float_info.max``; its factors are
+    ``(sum, 1.0, 0.0)``, and as it needs no order check its cap is the score."""
+    if variant not in SCORE_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {SCORE_VARIANTS}")
+    q = tuple(query_tokens)
+    if not q:
+        return None
+    weight = {token: corpus.weight(token) for token in set(q)}.__getitem__
+    if variant == "idf":
+        def idf(p: Sequence[str]) -> float:
+            return min(sum(weight(token) for token in q if token in p), sys.float_info.max)
+
+        return best_candidate(q, corpus, lambda p: (idf(p), 1.0, 0.0), [weight(token) for token in q], idf)
+    sc, sb = variant != "sq", variant == "full"
+
+    def factors(p: Sequence[str]) -> Factors:
+        return score_sq(q, p, weight), score_sc(q, p) if sc else 1.0, score_sb(q, p) if sb else 0.0
+
+    return best_candidate(q, corpus, factors, decayed_gains(q, weight), score_cap(q, weight, sc, sb))
 
 
 def best_match(mention: str | Query, corpus: Corpus, config: ErConfig) -> MatchResult | None:
@@ -366,26 +390,11 @@ def best_match(mention: str | Query, corpus: Corpus, config: ErConfig) -> MatchR
     if not query.tokens:
         logger.warning("query %r is empty after preprocessing", query.original)
         return None
-    best = best_candidate(
-        query.tokens,
-        corpus,
-        lambda q, p: score(q, p, corpus.weight),
-        decayed_gains(query.tokens, corpus.weight),
-        score_cap(query.tokens, corpus.weight),
-    )
+    best = rank(query.tokens, corpus)
     if best is None:
         return None
-    entry_id, combined = best
-    candidate = corpus.tokens[entry_id]
-    return MatchResult(
-        query,
-        entry_id,
-        corpus.name(entry_id),
-        combined,
-        score_sq(query.tokens, candidate, corpus.weight),
-        score_sc(query.tokens, candidate),
-        score_sb(query.tokens, candidate),
-    )
+    entry_id, combined, (s_q, s_c, s_b) = best
+    return MatchResult(query, entry_id, corpus.name(entry_id), combined, s_q, s_c, s_b)
 
 
 def resolve(mention: str | Query, corpus: Corpus, config: ErConfig) -> MatchResult | None:

@@ -2,35 +2,22 @@
 
 Bookkeeping counts every extracted mention (ALL) and classifies it as wholly
 wrong (WRO), partially overlapping a gold mention (PAR) or correct; gold
-mentions nobody touched are missing (MIS). The metric formulas, the
-precision-recall sweep over the match-score threshold, and the reduced
-scoring variants used as ranking baselines all live here.
+mentions nobody touched are missing (MIS). The metric formulas and the
+precision-recall sweep over the match-score threshold live here, with
+``variant_best_match``, which ranks a mention under one of ``er.rank``'s
+scoring variants.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .er import (
-    Corpus,
-    ErConfig,
-    MatchResult,
-    best_candidate,
-    decayed_gains,
-    gain_cap,
-    preprocess,
-    score,
-    score_cap,
-    score_sc,
-    score_sq,
-)
+from .er import Corpus, ErConfig, MatchResult, preprocess, rank
 
 CORRECT = "CORRECT"
 WRO = "WRO"
 PAR = "PAR"
-
-SCORE_VARIANTS = ("idf", "sq", "sqsc", "full")
 
 UNDEF = "undef"
 
@@ -214,54 +201,13 @@ def pr_curve(labeled_scores: Iterable[tuple[float, bool]]) -> list[PrPoint]:
     return points
 
 
-def baseline_score(variant: str, q: Sequence[str], p: Sequence[str], corpus: Corpus) -> float:
-    """Reduced forms of the ranking score used as baselines.
-
-    ``idf`` ignores decay and order, ``sq`` is the decayed weighted sum alone,
-    ``sqsc`` multiplies in candidate coverage, ``full`` is the production score.
-    """
-    weight = corpus.weight
-    if variant == "idf":
-        return sum(weight(tok) for tok in q if tok in p)
-    if variant == "sq":
-        return score_sq(q, p, weight)
-    if variant == "sqsc":
-        return score_sq(q, p, weight) * score_sc(q, p)
-    if variant == "full":
-        return score(q, p, weight)
-    raise ValueError(f"unknown variant {variant!r}; expected one of {SCORE_VARIANTS}")
-
-
-def variant_cap(variant: str, q: Sequence[str], corpus: Corpus) -> Callable[[Sequence[str]], float]:
-    """Cap of ``baseline_score(variant, q, p, corpus)`` from the tokens of ``p``.
-
-    ``idf`` sums each held position's weight undecayed, so its cap is that sum
-    per held token; the other variants are capped like the parts of the full
-    score they keep."""
-    if variant == "idf":
-        return gain_cap(q, [corpus.weight(token) for token in q])
-    return score_cap(q, corpus.weight, sc=variant != "sq", sb=variant == "full")
-
-
 def variant_best_match(
     variant: str, mention: str, corpus: Corpus, config: ErConfig
 ) -> tuple[int, float] | None:
-    """Best candidate under a scoring variant: (entry id, score), lowest id on ties."""
-    query = preprocess(mention, config)
-    if not query.tokens:
-        return None
-    # ``idf`` adds each held position's weight undecayed.
-    if variant == "idf":
-        gains = tuple(corpus.weight(token) for token in query.tokens)
-    else:
-        gains = decayed_gains(query.tokens, corpus.weight)
-    return best_candidate(
-        query.tokens,
-        corpus,
-        lambda q, p: baseline_score(variant, q, p, corpus),
-        gains,
-        variant_cap(variant, query.tokens, corpus),
-    )
+    """Best candidate under a scoring variant of ``er.rank``: (entry id, score),
+    lowest id on ties."""
+    best = rank(preprocess(mention, config).tokens, corpus, variant)
+    return None if best is None else best[:2]
 
 
 def pseudo_recall(results: Iterable[MatchResult | float], threshold: float) -> float | None:

@@ -9,7 +9,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .textutil import TOKEN, TokenSeq, entry_lines, join_tokens, name_tokens
+from .textutil import TOKEN, TokenSeq, entry_lines, join_tokens, name_tokens, read_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -201,6 +201,6 @@ def document_from_text(doc_id: str, text: str, config: SectionConfig | None = No
 
 
 def load_document(path: str | Path, section_config: SectionConfig | None = None) -> Document:
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    return document_from_text(path.name, text, section_config)
+    """Document read with ``read_utf8``: a leading byte-order mark is dropped,
+    and undecodable bytes raise a ValueError naming the file."""
+    return document_from_text(Path(path).name, read_utf8(path), section_config)

@@ -6,6 +6,7 @@ with the package code.
 """
 from __future__ import annotations
 
+import sys
 from typing import Callable, Sequence
 
 Tokens = Sequence[str]
@@ -69,6 +70,21 @@ def ob_sb(q: Tokens, p: Tokens) -> float:
 
 def ob_score(q: Tokens, p: Tokens, weight: Callable[[str], float]) -> float:
     return ob_sq(q, p, weight) * ob_sc(q, p) + ob_sb(q, p)
+
+
+def ob_variant_score(variant: str, q: Tokens, p: Tokens, weight: Callable[[str], float]) -> float:
+    """Reduced forms of ``ob_score``: ``idf`` is the undecayed weight of every
+    query position the candidate holds, in any order, saturating at the
+    largest float; ``sq`` is ``s_q`` alone, ``sqsc`` is ``s_q * s_c``."""
+    if variant == "idf":
+        return min(sum(ob_sgn(q[i], p) * weight(q[i]) for i in range(len(q))), sys.float_info.max)
+    if variant == "sq":
+        return ob_sq(q, p, weight)
+    if variant == "sqsc":
+        return ob_sq(q, p, weight) * ob_sc(q, p)
+    if variant == "full":
+        return ob_score(q, p, weight)
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def ob_best_match(

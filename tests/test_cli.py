@@ -161,7 +161,9 @@ def test_extract_undecodable_document_skipped(workspace, capsys):
     out_path = tmp_path / "mentions.tsv"
     code = main(["extract", "--config", str(config), "--output", str(out_path), str(doc), str(bad)])
     assert code == 1
-    assert f"skipped {bad}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"skipped {bad}: " in err
+    assert err.count(str(bad)) == 1
     assert out_path.read_text(encoding="utf-8") == good.read_text(encoding="utf-8")
 
 
@@ -440,6 +442,21 @@ def test_leading_bom_of_line_file_ignored(workspace, capsys, bom_file):
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     assert run_build(config) == 0
     assert extract_to(tmp_path, config, doc, "bom.tsv").read_text(encoding="utf-8") == plain
+
+
+def test_leading_bom_of_document_ignored(workspace, capsys):
+    # Read as data, the mark glued itself to the first token ("\ufeffGRANITE"),
+    # so the name at offset 0 was not found.
+    tmp_path, config, _ = workspace
+    assert run_build(config) == 0
+    text = "GRANITE HARBOR BANK, N.A. issues the notes\n"
+    plain, bom = tmp_path / "plain" / "doc.txt", tmp_path / "bom" / "doc.txt"
+    for path, data in ((plain, b""), (bom, b"\xef\xbb\xbf")):
+        path.parent.mkdir()
+        path.write_bytes(data + text.encode("utf-8"))
+    want = extract_to(tmp_path, config, plain, "plain.tsv").read_text(encoding="utf-8")
+    assert want.startswith("doc.txt\t0\t25\t")
+    assert extract_to(tmp_path, config, bom, "bom.tsv").read_text(encoding="utf-8") == want
 
 
 def test_end_to_end_determinism(workspace, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from finames import er
 from finames.er import (
     MAX_WEIGHT,
     Corpus,
@@ -297,14 +298,14 @@ def test_best_candidate_skips_candidates_that_cannot_win():
     q = ("ALPHA", "BANK")
     calls = []
 
-    def counting(q_tokens, p_tokens):
+    def counting(p_tokens):
         calls.append(p_tokens)
-        return score(q_tokens, p_tokens, corpus.weight)
+        return score_sq(q, p_tokens, corpus.weight), score_sc(q, p_tokens), score_sb(q, p_tokens)
 
     got = best_candidate(q, corpus, counting, decayed_gains(q, corpus.weight), score_cap(q, corpus.weight))
     assert len(corpus.candidate_ids(q)) == 50
     assert len(calls) < 50
-    assert got == ob_best_match(q, corpus.tokens, corpus.weight)
+    assert got[:2] == ob_best_match(q, corpus.tokens, corpus.weight)
 
 
 def spy_candidate_ids(monkeypatch):
@@ -349,15 +350,37 @@ def test_tie_at_zero_costs_one_scorer_call(monkeypatch):
     # is 0, the first scores 0, and no later id can beat it.
     corpus = corpus_of(*(f"NAME{i:03d} BANK" for i in range(200)))
     calls = []
+    original = er.best_candidate
 
-    def counting(q, p, weight):
-        calls.append(p)
-        return score(q, p, weight)
+    def spy(query_tokens, corpus, scorer, gains, cap):
+        def counting(p):
+            calls.append(p)
+            return scorer(p)
 
-    monkeypatch.setattr("finames.er.score", counting)
+        return original(query_tokens, corpus, counting, gains, cap)
+
+    monkeypatch.setattr(er, "best_candidate", spy)
     result = best_match("NUNANE VETA BANK", corpus, PLAIN)
     assert (result.entry_id, result.score) == (0, 0.0)
     assert (result.entry_id, result.score) == ob_best_match(("NUNANE", "VETA", "BANK"), corpus.tokens, corpus.weight)
+    assert len(calls) == 1
+
+
+def test_winner_is_scored_once(monkeypatch):
+    # The factors of the one candidate scored in the tie at zero above are the
+    # result's: s_q is not computed a second time for it.
+    corpus = corpus_of(*(f"NAME{i:03d} BANK" for i in range(200)))
+    calls = []
+
+    def counting(q, p, weight):
+        calls.append(p)
+        return score_sq(q, p, weight)
+
+    monkeypatch.setattr(er, "score_sq", counting)
+    result = best_match("NUNANE VETA BANK", corpus, PLAIN)
+    q, p = result.query.tokens, corpus.tokens[0]
+    assert (result.entry_id, result.score) == (0, 0.0)
+    assert (result.s_q, result.s_c, result.s_b) == (ob_sq(q, p, corpus.weight), ob_sc(q, p), ob_sb(q, p))
     assert len(calls) == 1
 
 

@@ -2,7 +2,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finames.er import MAX_WEIGHT, ErConfig, best_match, build_corpus, decayed_gains, gain_cap, preprocess
+import sys
+
+from finames.er import (
+    MAX_WEIGHT,
+    SCORE_VARIANTS,
+    ErConfig,
+    best_match,
+    build_corpus,
+    decayed_gains,
+    preprocess,
+    rank,
+    score_cap,
+)
 from finames.evaluation import (
     CORRECT,
     PAR,
@@ -10,21 +22,18 @@ from finames.evaluation import (
     EvalCounts,
     GoldMention,
     LabeledMention,
-    baseline_score,
     count,
     format_metric,
     label_mentions,
     metrics,
     pr_curve,
-    SCORE_VARIANTS,
     pseudo_recall,
     render_report,
     variant_best_match,
-    variant_cap,
 )
 from finames.ingest import name_list_from_strings
 
-from oracles import ob_best_match, ob_count, ob_label_mentions
+from oracles import ob_best_match, ob_count, ob_label_mentions, ob_variant_score
 
 PLAIN = ErConfig(threshold=0.0, stop_words=frozenset(), abbreviations={})
 
@@ -223,36 +232,63 @@ def test_pr_curve_recall_non_decreasing():
 def test_full_variant_equals_resolver_score():
     corpus = build_corpus(name_list_from_strings(["WELLS FARGO", "ALPHA BANK"], "c"), PLAIN)
     result = best_match("WELLS FARGO BANK", corpus, PLAIN)
-    value = baseline_score("full", result.query.tokens, corpus.tokens[result.entry_id], corpus)
+    value = ob_variant_score("full", result.query.tokens, corpus.tokens[result.entry_id], corpus.weight)
     assert value == pytest.approx(result.score)
+    assert variant_best_match("full", "WELLS FARGO BANK", corpus, PLAIN) == (result.entry_id, result.score)
 
 
 def test_idf_order_invariant_sq_not():
-    corpus = build_corpus(name_list_from_strings(["ALPHA SOLO", "OTHER NAME"], "c"), PLAIN)
     weight_one = {"ALPHA": 1.0, "BRAVO": 1.0}
     corpus = build_corpus(
         name_list_from_strings(["ALPHA SOLO", "OTHER NAME"], "c"),
         ErConfig(threshold=0.0, stop_words=frozenset(), abbreviations={}, weight_overrides=weight_one),
     )
-    p = ("ALPHA",)
-    q_forward = ("ALPHA", "BRAVO")
-    q_backward = ("BRAVO", "ALPHA")
-    assert baseline_score("idf", q_forward, p, corpus) == pytest.approx(1.0)
-    assert baseline_score("idf", q_backward, p, corpus) == pytest.approx(1.0)
-    assert baseline_score("sq", q_forward, p, corpus) == pytest.approx(1.0)
-    assert baseline_score("sq", q_backward, p, corpus) == pytest.approx(0.5)
+    assert variant_best_match("idf", "ALPHA BRAVO", corpus, PLAIN) == (0, pytest.approx(1.0))
+    assert variant_best_match("idf", "BRAVO ALPHA", corpus, PLAIN) == (0, pytest.approx(1.0))
+    assert variant_best_match("sq", "ALPHA BRAVO", corpus, PLAIN) == (0, pytest.approx(1.0))
+    assert variant_best_match("sq", "BRAVO ALPHA", corpus, PLAIN) == (0, pytest.approx(0.5))
 
 
 def test_disjoint_query_zero_for_all_variants():
     corpus = build_corpus(name_list_from_strings(["ALPHA BANK"], "c"), PLAIN)
-    for variant in ("idf", "sq", "sqsc", "full"):
-        assert baseline_score(variant, ("OTHER",), ("ALPHA", "BANK"), corpus) == 0.0
+    for variant in SCORE_VARIANTS:
+        assert ob_variant_score(variant, ("OTHER",), ("ALPHA", "BANK"), corpus.weight) == 0.0
+        assert variant_best_match(variant, "OTHER", corpus, PLAIN) is None
 
 
 def test_unknown_variant_rejected():
     corpus = build_corpus(name_list_from_strings(["ALPHA BANK"], "c"), PLAIN)
     with pytest.raises(ValueError):
-        baseline_score("tfidf", ("ALPHA",), ("ALPHA",), corpus)
+        rank(("ALPHA",), corpus, "tfidf")
+
+
+@pytest.mark.parametrize("mention", ["zzzzz", ""])
+def test_unknown_variant_rejected_before_ranking(mention):
+    # ZZZZZ is in no name, so no candidate is ever scored; the variant is
+    # still checked, for an empty query too.
+    corpus = build_corpus(name_list_from_strings(["ALPHA BANK"], "c"), PLAIN)
+    with pytest.raises(ValueError, match="unknown variant 'tfidf'"):
+        variant_best_match("tfidf", mention, corpus, PLAIN)
+
+
+@pytest.mark.parametrize(
+    "mention, winner",
+    [
+        # Both names hold ALPHA, so they tie and the lower id wins.
+        ("ALPHA ALPHA ALPHA ALPHA ALPHA", 0),
+        ("ALPHA BRAVO CARGO DELTA EAGLE", 1),
+    ],
+)
+def test_idf_saturates_at_the_largest_float(mention, winner):
+    # Five positions at MAX_WEIGHT sum past the largest float, repeated or
+    # distinct: the score stops there, and the winner is the one an unbounded
+    # sum ranks first.
+    overrides = dict.fromkeys(["ALPHA", "BRAVO", "CARGO", "DELTA", "EAGLE"], MAX_WEIGHT)
+    config = ErConfig(threshold=0.0, stop_words=frozenset(), abbreviations={}, weight_overrides=overrides)
+    corpus = build_corpus(name_list_from_strings(["ALPHA BANK", "ALPHA BRAVO CARGO DELTA EAGLE", "ZETA BANK"], "c"), config)
+    q = preprocess(mention, config).tokens
+    assert variant_best_match("idf", mention, corpus, config) == (winner, sys.float_info.max)
+    assert ob_variant_score("idf", q, corpus.tokens[winner], corpus.weight) == sys.float_info.max
 
 
 def test_variant_best_match_prefers_lower_id_on_tie():
@@ -281,7 +317,7 @@ def test_ranking_loop_is_brute_force_argmax(names, duplicates, query):
     shared = [i for i, p in enumerate(corpus.tokens) if set(p) & set(q)]
     got = {variant: variant_best_match(variant, mention, corpus, PLAIN) for variant in SCORE_VARIANTS}
     for variant in SCORE_VARIANTS:
-        values = {i: baseline_score(variant, q, corpus.tokens[i], corpus) for i in shared}
+        values = {i: ob_variant_score(variant, q, corpus.tokens[i], corpus.weight) for i in shared}
         want = None
         if values:
             top = max(values.values())
@@ -359,7 +395,7 @@ def test_pruned_ranking_equals_brute_force_with_heavy_postings(names, duplicates
     for variant in SCORE_VARIANTS:
         want = None
         for i in shared:
-            value = baseline_score(variant, q, corpus.tokens[i], corpus)
+            value = ob_variant_score(variant, q, corpus.tokens[i], corpus.weight)
             if want is None or value > want[1]:
                 want = (i, value)
         assert got[variant] == want, variant
@@ -387,19 +423,23 @@ def test_variant_caps_bound_their_scores_and_vanish_where_no_run_starts(q, p, we
     no_candidate_lead = not held & set(p[:2])  # q holds neither p[0] nor p[1]
     inside = set(p) <= set(q)
     zero = {
-        "idf": not held,
         "sq": no_query_lead,
         "sqsc": no_query_lead or no_candidate_lead,
         "full": no_candidate_lead or no_query_lead and not inside,
     }
-    held_gain = gain_cap(q, decayed_gains(q, corpus.weight))(p)
-    for variant in SCORE_VARIANTS:
-        cap = variant_cap(variant, q, corpus)(p)
-        assert cap * (1 + 1e-9) >= baseline_score(variant, q, p, corpus), variant
+    weight = corpus.weight
+    held_gain = sum(gain for token, gain in zip(q, decayed_gains(q, weight)) if token in p)
+    caps = {
+        "sq": score_cap(q, weight, sc=False, sb=False),
+        "sqsc": score_cap(q, weight, sb=False),
+        "full": score_cap(q, weight),
+    }
+    for variant, cap in caps.items():
+        value = cap(p)
+        assert value * (1 + 1e-9) >= ob_variant_score(variant, q, p, weight), variant
         if zero[variant]:
-            assert cap == 0.0, variant
-        if variant != "idf":
-            assert cap <= held_gain * (1 + 1e-9), variant
+            assert value == 0.0, variant
+        assert value <= held_gain * (1 + 1e-9), variant
 
 
 # ---------------------------------------------------------------------------
