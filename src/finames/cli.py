@@ -11,9 +11,11 @@ import argparse
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import dict_gen, er, evaluation, ner
+# ``er`` and ``evaluation`` are imported by the commands that use them, so
+# that build-dicts and extract never load the resolver.
+from . import dict_gen, ner
 from .dict_gen import BUILTIN_SUFFIX_PATTERNS, RootDictionary, SuffixDictionary, generate_dictionaries
 from .ingest import (
     DEFAULT_HEADER_MARKERS,
@@ -25,6 +27,8 @@ from .ingest import (
 from .ner import DEFAULT_ROLE_KEYWORDS, DEFAULT_ROLE_WINDOW
 from .textutil import entry_lines, read_utf8
 
+if TYPE_CHECKING:
+    from . import er
 SECTION_LABELS = ("HEADER", "SUMMARY", "BODY")
 
 
@@ -91,6 +95,8 @@ class PipelineConfig:
         return SectionConfig(tuple(self.header_markers), tuple(self.summary_end_markers))
 
     def er_config(self) -> er.ErConfig:
+        from . import er
+
         stop_words = er.DEFAULT_ER_STOP_WORDS
         abbreviations = dict(er.DEFAULT_ABBREVIATIONS)
         overrides: dict[str, float] = {}
@@ -189,9 +195,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
     overlap = invalid & (custom_roots | custom_suffixes.literal_entries)
     if overlap:
         raise CliError(f"invalid elements overlap custom dictionaries: {sorted(overlap)}")
+    if custom_roots:  # a union copies every entry
+        roots = RootDictionary(roots.entries | custom_roots)
     literals = suffixes.literal_entries | custom_suffixes.literal_entries
     patterns = suffixes.pattern_entries + custom_suffixes.pattern_entries
-    extractor = ner.Extractor(RootDictionary(roots.entries | custom_roots), SuffixDictionary(literals, patterns), invalid)
+    extractor = ner.Extractor(roots, SuffixDictionary(literals, patterns), invalid)
     section_config = config.section_config()
     wanted_sections = _parse_sections(args.sections)
     keywords = frozenset(k.upper() for k in config.role_keywords)
@@ -241,6 +249,7 @@ def _read_tsv(path: Path, columns: int, expected: str, spans: bool = True) -> li
 
 
 def _build_corpus(config: PipelineConfig) -> tuple[er.Corpus, er.ErConfig]:
+    from . import er
     if not config.corpus:
         raise CliError("a corpus file is required (corpus)")
     er_config = config.er_config()
@@ -251,6 +260,7 @@ def _build_corpus(config: PipelineConfig) -> tuple[er.Corpus, er.ErConfig]:
 
 
 def cmd_resolve(args: argparse.Namespace) -> int:
+    from . import er
     config = _load_config(args)
     corpus, er_config = _build_corpus(config)
     rows = _read_tsv(_existing(args.mentions, "mentions"), 5, "5 tab-separated columns")
@@ -271,6 +281,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import evaluation
     rows = _read_tsv(_existing(args.mentions, "mentions"), 5, "5 tab-separated columns")
     gold_rows = _read_tsv(_existing(args.gold, "gold"), 4, "4 tab-separated columns")
     gold = [evaluation.GoldMention(*row[:4]) for row in gold_rows]
@@ -296,6 +307,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_pr_curve(args: argparse.Namespace) -> int:
+    from . import er, evaluation
+    if args.variant not in er.SCORE_VARIANTS:
+        raise CliError(f"unknown variant {args.variant!r}; expected one of {', '.join(er.SCORE_VARIANTS)}")
     config = _load_config(args)
     corpus, er_config = _build_corpus(config)
     pairs: list[tuple[float, bool]] = []
@@ -363,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pr-curve", parents=[common], help="precision-recall curve for a scoring variant")
     p.add_argument("labeled", type=Path)
-    p.add_argument("--variant", choices=er.SCORE_VARIANTS, default="full")
+    p.add_argument("--variant", default="full", help="scoring variant: idf, sq, sqsc or full (default: full)")
     p.add_argument("--corpus", dest="corpus")
     p.add_argument("--stop-words", dest="stop_words")
     p.add_argument("--abbreviations", dest="abbreviations")

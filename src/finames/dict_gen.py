@@ -21,7 +21,16 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .ingest import MIN_NAME_LENGTH, NameList, NormalizedName, normalize_name, strip_trailing_garbage
-from .textutil import COMMA, TokenSeq, entry_lines, join_tokens, name_tokens
+from .textutil import (
+    COMMA,
+    NON_SPACE_CONTROL,
+    TokenSeq,
+    entry_lines,
+    join_tokens,
+    name_tokens,
+    read_utf8,
+    text_entry_lines,
+)
 
 STOP_TOKENS = frozenset({"THE", "OF", "AND", "A", "AN"})
 
@@ -358,15 +367,26 @@ def save_suffix_dictionary(dictionary: SuffixDictionary, path: str | Path) -> No
 
 
 def load_token_entries(path: str | Path) -> frozenset[TokenSeq]:
-    """Literal entries from a one-entry-per-line file, normalized to tokens."""
-    entries = set()
-    for number, line in entry_lines(path):
+    """Literal entries from a one-entry-per-line file, normalized to tokens.
+
+    A file that is already uppercase and holds no control character other
+    than whitespace (what ``save_root_dictionary`` writes) is cut with
+    ``str.split``: there, ``str.isspace`` and ``TOKEN``'s separators agree,
+    so the entries are those of the per-line path below."""
+    text = read_utf8(path)
+    if text.upper() == text and not NON_SPACE_CONTROL.search(text):
+        entries = frozenset(map(tuple, map(str.split, text.replace(COMMA, " , ").splitlines())))
+        if "#" in text or () in entries:  # comment or blank lines
+            entries = frozenset(tokens for tokens in entries if tokens and not tokens[0].startswith("#"))
+        return entries
+    found = set()
+    for number, line in text_entry_lines(text):
         if line.startswith(PATTERN_PREFIX):
             raise ValueError(f"{path}:{number}: pattern entry not allowed here: {line!r}")
         tokens = name_tokens(line)
         if tokens:
-            entries.add(tokens)
-    return frozenset(entries)
+            found.add(tokens)
+    return frozenset(found)
 
 
 def load_root_dictionary(path: str | Path) -> RootDictionary:

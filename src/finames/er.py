@@ -356,14 +356,20 @@ def best_candidate(
     return best
 
 
+def score_idf(q: Sequence[str], p: Sequence[str], weight: Callable[[str], float]) -> float:
+    """``idf`` score: the weight of every query position the candidate holds,
+    without decay or order, saturating at ``sys.float_info.max``."""
+    return min(sum(weight(token) for token in q if token in p), sys.float_info.max)
+
+
 def rank(query_tokens: Sequence[str], corpus: Corpus, variant: str = "full") -> tuple[int, float, Factors] | None:
     """(entry id, score, factors) of the best candidate under a scoring variant,
     lowest id on ties; None when the query is empty or shares no token with
     the corpus. ``full`` is ``score`` with the factors ``(s_q, s_c, s_b)``;
     ``sqsc`` drops ``s_b`` and ``sq`` keeps ``s_q`` alone. ``idf`` sums the
     weight of every query position the candidate holds, without decay or
-    order, saturating at ``sys.float_info.max``; its factors are
-    ``(sum, 1.0, 0.0)``, and as it needs no order check its cap is the score."""
+    order (``score_idf``); its factors are ``(sum, 1.0, 0.0)``, and as it needs
+    no order check its cap is the score."""
     if variant not in SCORE_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {SCORE_VARIANTS}")
     q = tuple(query_tokens)
@@ -371,9 +377,8 @@ def rank(query_tokens: Sequence[str], corpus: Corpus, variant: str = "full") -> 
         return None
     weight = {token: corpus.weight(token) for token in set(q)}.__getitem__
     if variant == "idf":
-        def idf(p: Sequence[str]) -> float:
-            return min(sum(weight(token) for token in q if token in p), sys.float_info.max)
-
+        # The cap is the score: sum each candidate once for both.
+        idf = functools.cache(lambda p: score_idf(q, p, weight))
         return best_candidate(q, corpus, lambda p: (idf(p), 1.0, 0.0), [weight(token) for token in q], idf)
     sc, sb = variant != "sq", variant == "full"
 

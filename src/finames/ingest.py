@@ -152,6 +152,26 @@ class Document:
         return BODY
 
 
+class _Markers:
+    """Search for the earliest of some marker strings, ignoring case."""
+
+    def __init__(self, markers: tuple[str, ...]) -> None:
+        self._pattern = re.compile("|".join(map(re.escape, markers)), re.IGNORECASE) if markers else None
+        self._ascii_upper = tuple(m.upper() for m in markers) if all(map(str.isascii, markers)) else None
+
+    def first(self, text: str, upper: str | None, start: int = 0) -> int:
+        """Offset in ``text`` of the earliest marker at or after ``start``; -1
+        if none. ``upper`` is ``text.upper()`` when ``text`` is ASCII, else None.
+        Searching an uppercased copy of other text would shift every offset
+        after a character such as "ß" that uppercases to two."""
+        if self._pattern is None:
+            return -1
+        if upper is not None and self._ascii_upper is not None:
+            return min((i for i in (upper.find(m, start) for m in self._ascii_upper) if i >= 0), default=-1)
+        hit = self._pattern.search(text, start)
+        return hit.start() if hit else -1
+
+
 @dataclass(frozen=True)
 class SectionConfig:
     """Marker strings that delimit the header, summary and body of a filing."""
@@ -159,16 +179,16 @@ class SectionConfig:
     header_markers: tuple[str, ...] = DEFAULT_HEADER_MARKERS
     summary_end_markers: tuple[str, ...] = DEFAULT_SUMMARY_END_MARKERS
 
+    @cached_property
+    def _header(self) -> _Markers:
+        return _Markers(tuple(self.header_markers))
 
-def _first_marker(text: str, markers: Iterable[str], start: int = 0) -> int:
-    """Offset in ``text`` of the earliest marker at or after ``start``, ignoring
-    case; -1 if none. Searching an uppercased copy instead would shift every
-    offset after a character such as "ß" that uppercases to two."""
-    markers = tuple(markers)
-    if not markers:
-        return -1
-    hit = re.compile("|".join(map(re.escape, markers)), re.IGNORECASE).search(text, start)
-    return hit.start() if hit else -1
+    @cached_property
+    def _summary_end(self) -> _Markers:
+        return _Markers(tuple(self.summary_end_markers))
+
+
+_DEFAULT_SECTION_CONFIG = SectionConfig()
 
 
 def segment_text(text: str, config: SectionConfig | None = None) -> tuple[Section, ...]:
@@ -180,14 +200,15 @@ def segment_text(text: str, config: SectionConfig | None = None) -> tuple[Sectio
     """
     if not text:
         return ()
-    config = config or SectionConfig()
-    split = _first_marker(text, config.header_markers)
+    config = config or _DEFAULT_SECTION_CONFIG
+    upper = text.upper() if text.isascii() else None
+    split = config._header.first(text, upper)
     if split < 0:
         return (Section(BODY, 0, len(text)),)
     sections: list[Section] = []
     if split > 0:
         sections.append(Section(HEADER, 0, split))
-    end = _first_marker(text, config.summary_end_markers, split + 1)
+    end = config._summary_end.first(text, upper, split + 1)
     if end < 0:
         sections.append(Section(SUMMARY, split, len(text)))
     else:

@@ -5,15 +5,16 @@ leftmost-longest root entry, then repeatedly append the longest literal or
 pattern suffix that follows, then resume scanning after the consumed span.
 Matching is purely token based, so line breaks inside a name do not matter.
 An entry is matched by looking its token slice up in the dictionary's own set,
-once per distinct entry length among the entries that start with the token at
-hand, longest first; only tokens that start some root are tried as roots.
+at every length from the dictionary's longest entry (or the tokens left, if
+fewer) down to one; only tokens that start some root are tried as roots.
 """
 from __future__ import annotations
 
 import string
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Sequence
 
 from .dict_gen import RootDictionary, SuffixDictionary
 from .ingest import Document
@@ -48,21 +49,12 @@ class Mention:
     section: str
 
 
-def _lengths_by_first_token(entries: Iterable[TokenSeq]) -> dict[str, tuple[int, ...]]:
-    lengths: dict[str, set[int]] = {}
-    for entry in entries:
-        lengths.setdefault(entry[0], set()).add(len(entry))
-    return {first: tuple(sorted(found, reverse=True)) for first, found in lengths.items()}
-
-
-def _longest_match(
-    entries: frozenset[TokenSeq], lengths: dict[str, tuple[int, ...]], texts: TokenSeq, start: int
-) -> int:
-    """Token length of the longest entry matching at ``start``; 0 if none. An
-    entry longer than the tokens left is skipped: its cut-off slice could
-    equal a shorter entry."""
-    for length in lengths.get(texts[start], ()):
-        if start + length <= len(texts) and texts[start : start + length] in entries:
+def _longest_match(entries: frozenset[TokenSeq], longest: int, texts: TokenSeq, start: int) -> int:
+    """Token length of the longest entry matching at ``start``; 0 if none. Only
+    lengths that fit in the tokens left are tried: a cut-off slice could equal
+    a shorter entry."""
+    for length in range(min(longest, len(texts) - start), 0, -1):
+        if texts[start : start + length] in entries:
             return length
     return 0
 
@@ -81,16 +73,17 @@ class Extractor:
         invalid: frozenset[TokenSeq] = frozenset(),
     ) -> None:
         self._roots = roots.entries
-        self._root_lengths = _lengths_by_first_token(roots.entries)
+        self._first_tokens = frozenset(map(itemgetter(0), roots.entries))
+        self._root_longest = max(map(len, roots.entries), default=0)
         self._suffixes = suffixes.literal_entries
-        self._suffix_lengths = _lengths_by_first_token(suffixes.literal_entries)
+        self._suffix_longest = max(map(len, suffixes.literal_entries), default=0)
         self._patterns = suffixes.pattern_entries
         self._invalid = invalid
 
     def _extend(self, texts: TokenSeq, pos: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         ranges: list[tuple[int, int]] = []
         while pos < len(texts):
-            length = _longest_match(self._suffixes, self._suffix_lengths, texts, pos)
+            length = _longest_match(self._suffixes, self._suffix_longest, texts, pos)
             for pattern in self._patterns:
                 count = pattern.token_count
                 if count > length and pos + count <= len(texts) and pattern.matches(texts[pos : pos + count]):
@@ -103,13 +96,13 @@ class Extractor:
 
     def extract(self, doc: Document) -> list[Mention]:
         texts = tokenize(doc)
-        first_tokens = self._root_lengths
+        first_tokens = self._first_tokens
         mentions: list[Mention] = []
         pos = 0
         for start in [i for i, tok in enumerate(texts) if tok in first_tokens]:
             if start < pos:
                 continue
-            root_end = start + _longest_match(self._roots, first_tokens, texts, start)
+            root_end = start + _longest_match(self._roots, self._root_longest, texts, start)
             if root_end == start:
                 continue
             end, suffix_ranges = self._extend(texts, root_end)

@@ -20,6 +20,8 @@ _SEPARATOR = r"\s\x00-\x1f\x7f"
 # separator runs and ``TOKEN.findall`` returns the tokens alone.
 TOKEN = re.compile(rf"([^{_SEPARATOR},]+|,)")
 SEPARATORS = re.compile(rf"[{_SEPARATOR}]+")
+# The separators ``str.isspace`` rejects; without them ``str.split`` cuts as ``TOKEN`` does.
+NON_SPACE_CONTROL = re.compile(r"[\x00-\x08\x0e-\x1b\x7f]")
 
 TokenSeq = tuple[str, ...]
 
@@ -46,10 +48,14 @@ def read_utf8(path: str | Path) -> str:
 
 
 def entry_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """(line number, stripped line) for every line of a list, dictionary or
-    config file that is neither blank nor a comment (first non-blank
-    character ``#``)."""
-    for number, line in enumerate(read_utf8(path).splitlines(), start=1):
+    """:func:`text_entry_lines` of a list, dictionary or config file."""
+    return text_entry_lines(read_utf8(path))
+
+
+def text_entry_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for every line of ``text`` that is neither
+    blank nor a comment (first non-blank character ``#``)."""
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if line and not line.startswith("#"):
             yield number, line

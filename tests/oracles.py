@@ -6,7 +6,9 @@ with the package code.
 """
 from __future__ import annotations
 
+import re
 import sys
+from pathlib import Path
 from typing import Callable, Sequence
 
 Tokens = Sequence[str]
@@ -265,3 +267,36 @@ def ob_join_tokens(tokens: Sequence[str]) -> str:
 def ob_clean_token(token: str) -> str:
     """Character loop: the characters of ``token`` with ``str.isalnum()``."""
     return "".join(ch for ch in token if ch.isalnum())
+
+
+def ob_token_entries(path: str | Path) -> frozenset[tuple[str, ...]]:
+    """Line loop: the ``ob_tokens`` of every stripped line of a UTF-8 file
+    (leading byte-order mark dropped) that is neither blank nor a comment
+    (first non-blank character ``#``); a line starting ``re:`` raises a
+    ValueError naming ``path:line``."""
+    entries = set()
+    text = Path(path).read_bytes().decode("utf-8-sig")
+    for number, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("re:"):
+            raise ValueError(f"{path}:{number}: pattern entry not allowed here: {line!r}")
+        tokens = tuple(t for t, _, _ in ob_tokens(line))
+        if tokens:
+            entries.add(tokens)
+    return frozenset(entries)
+
+
+# ---------------------------------------------------------------------------
+# Sections
+
+
+def ob_first_marker(text: str, markers: Sequence[str], start: int = 0) -> int:
+    """Position loop: the first offset at or after ``start`` where some marker
+    matches under ``re.IGNORECASE``; -1 if none."""
+    patterns = [re.compile(re.escape(marker), re.IGNORECASE) for marker in markers]
+    for i in range(start, len(text) + 1):
+        if any(pattern.match(text, i) for pattern in patterns):
+            return i
+    return -1

@@ -1,5 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import finames
 from finames.cli import main
 
 NAMES = [
@@ -595,3 +602,39 @@ def test_build_dicts_with_pattern_file(tmp_path, capsys):
     assert code == 0
     suffix_lines = (tmp_path / "suffix.dict").read_text(encoding="utf-8").splitlines()
     assert "re:NOTES \\d{4}-[A-Z0-9]+" in suffix_lines
+
+
+_IMPORT_PROBE = """
+import json, sys
+from finames.cli import main
+
+config, doc, labeled = sys.argv[1:]
+codes = [main(["build-dicts", "--config", config]), main(["extract", "--config", config, doc])]
+loaded = sorted(name for name in ("finames.er", "finames.evaluation") if name in sys.modules)
+import finames
+unresolved = [name for name in finames.__all__ if getattr(finames, name, None) is None]
+try:
+    codes.append(main(["pr-curve", "--config", config, "--variant", "bogus", labeled]))
+except SystemExit as exc:
+    codes.append(exc.code)
+print(json.dumps({"codes": codes, "loaded": loaded, "unresolved": unresolved}))
+"""
+
+
+def test_build_dicts_and_extract_load_no_resolver(workspace):
+    # One fresh interpreter: build-dicts and extract import neither er nor
+    # evaluation; the package's names still resolve on first use, and an
+    # unknown variant is still a usage error.
+    tmp_path, config, doc = workspace
+    labeled = tmp_path / "labeled.tsv"
+    labeled.write_text("GRANITE HARBOR BANK\tGRANITE HARBOR BANK\n", encoding="utf-8")
+    src = str(Path(finames.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(config), str(doc), str(labeled)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 2], "loaded": [], "unresolved": []}
+    assert "'bogus'" in proc.stderr

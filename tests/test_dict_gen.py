@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from finames.dict_gen import (
@@ -9,6 +9,7 @@ from finames.dict_gen import (
     extract_trailing_suffix,
     generate_dictionaries,
     load_root_dictionary,
+    load_token_entries,
     load_suffix_dictionary,
     root_variants,
     save_root_dictionary,
@@ -19,6 +20,8 @@ from finames.dict_gen import (
 )
 from finames.ingest import name_list_from_strings, normalize_name
 from finames.textutil import name_tokens
+
+from oracles import ob_token_entries
 
 GOLDEN_NAMES = [
     "SOUTHEAST INVESTMENTS, N.C., INC.",
@@ -305,6 +308,45 @@ def test_hash_led_entries_dropped_so_round_trip_is_exact(tmp_path):
     save_suffix_dictionary(suffixes, tmp_path / "suffix.dict")
     assert load_root_dictionary(tmp_path / "root.dict") == roots
     assert load_suffix_dictionary(tmp_path / "suffix.dict") == suffixes
+
+
+# Lines mixing separators (ASCII controls, DEL, NEL, no-break space, line
+# separator), commas, comment and pattern marks, a byte-order mark inside a
+# line, and letters whose uppercase differs or is longer.
+_LINE_CHARS = st.sampled_from(
+    [",", " ", "#", "re:", "RE:", "\t", "\x7f", "\x85", "\xa0", "\u2028", "\ufeff", "ß", "ﬁ", "a", "Z"]
+)
+_LINE_CHARS |= st.sampled_from([chr(c) for c in range(32)]) | st.characters()
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    lines=st.lists(st.lists(_LINE_CHARS, max_size=8).map("".join), max_size=6),
+    break_=st.sampled_from(["\n", "\r\n", "\r", "\x1c", "\u2028"]),
+    upper=st.booleans(),
+    bom=st.booleans(),
+)
+@example(
+    lines=["WELLS FARGO BANK, N.A.", "", "  # COMMENT", "#1 X", ", #2", "A\tB"], break_="\n", upper=False, bom=True
+)
+@example(lines=["STRASSE", "straße", "ﬁrst"], break_="\n", upper=True, bom=False)
+@example(lines=["A\x00B", "C\x1fD"], break_="\n", upper=True, bom=False)
+@example(lines=["ALPHA", "re:BANK"], break_="\r\n", upper=False, bom=False)
+def test_token_entries_equal_the_per_line_oracle(tmp_path, lines, break_, upper, bom):
+    # Uppercase files without non-space controls take the str.split path; every
+    # other file is tokenized line by line, and a re: line names path:line.
+    text = break_.join(lines)
+    text = ("\ufeff" if bom else "") + (text.upper() if upper else text)
+    path = tmp_path / "entries.dict"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        want = ob_token_entries(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            load_token_entries(path)
+        assert str(got.value) == str(exc)
+    else:
+        assert load_token_entries(path) == want
 
 
 def test_pattern_coverage_not_duplicated_as_literal():

@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,9 +22,11 @@ from finames.er import (
     load_stop_words,
     load_weight_overrides,
     preprocess,
+    rank,
     resolve,
     score,
     score_cap,
+    score_idf,
     score_sb,
     score_sc,
     score_sq,
@@ -382,6 +385,25 @@ def test_winner_is_scored_once(monkeypatch):
     assert (result.entry_id, result.score) == (0, 0.0)
     assert (result.s_q, result.s_c, result.s_b) == (ob_sq(q, p, corpus.weight), ob_sc(q, p), ob_sb(q, p))
     assert len(calls) == 1
+
+
+def test_idf_sums_each_capped_candidate_once(monkeypatch):
+    # For ``idf`` the cap is the score, so a candidate that is capped and then
+    # scored is summed once. Every candidate of the tokens read is capped, and
+    # the winner is scored.
+    corpus = corpus_of(*(f"NAME{i:03d} BANK" for i in range(40)), "NAME007 TRUST BANK", "FIRST TRUST")
+    sums = Counter()
+
+    def counting(q, p, weight):
+        sums[p] += 1
+        return score_idf(q, p, weight)
+
+    monkeypatch.setattr(er, "score_idf", counting)
+    entry_id, total, _ = rank(("NAME007", "TRUST", "BANK"), corpus, "idf")
+    assert corpus.name(entry_id) == "NAME007 TRUST BANK"
+    assert total == corpus.weight("NAME007") + corpus.weight("TRUST") + corpus.weight("BANK")
+    assert sums[corpus.tokens[entry_id]] == 1
+    assert set(sums.values()) == {1}
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from finames.ingest import (
     BODY,
     HEADER,
     SUMMARY,
+    _Markers,
     document_from_text,
     load_document,
     load_name_list,
@@ -17,7 +18,7 @@ from finames.ingest import (
 from finames.cli import PipelineConfig
 from finames.textutil import entry_lines, join_tokens, name_tokens
 
-from oracles import ob_join_tokens
+from oracles import ob_first_marker, ob_join_tokens
 
 
 def test_load_name_list_case_fold_dedup(tmp_path):
@@ -184,6 +185,29 @@ def test_section_offsets_index_the_text_as_read(prefix):
         (SUMMARY, k, e),
         (BODY, e, len(text)),
     ]
+
+
+# Letters that case-fold across the ASCII boundary (Kelvin sign, long s,
+# dotted and dotless i) or uppercase to two ("ß", "ﬁ").
+_MARKER_CHARS = st.sampled_from(["ß", "ﬁ", "\u212a", "ſ", "İ", "ı", "k", "K", "s", "S", "i", "F", " "])
+
+
+@given(
+    text=st.text(_MARKER_CHARS | st.characters(max_codepoint=127), max_size=30),
+    markers=st.lists(st.text(_MARKER_CHARS | st.sampled_from("AFIKS"), max_size=3), max_size=3),
+    start=st.integers(0, 30),
+)
+@example(text="xx\u212ay k", markers=["K"], start=0)
+@example(text="ſummary SUMMARY", markers=["summary"], start=0)
+@example(text="STRASSE straße", markers=["ß", "SS"], start=1)
+@example(text="ask", markers=["\u212a"], start=0)
+@example(text="STRASSE", markers=["ß"], start=0)
+def test_marker_search_equals_the_position_loop(text, markers, start):
+    # ASCII text is searched with str.find on its uppercase copy, any other
+    # text with the IGNORECASE alternation; both give the oracle's offset.
+    start = min(start, len(text))
+    upper = text.upper() if text.isascii() else None
+    assert _Markers(tuple(markers)).first(text, upper, start) == ob_first_marker(text, markers, start)
 
 
 def test_section_config_from_file(tmp_path):

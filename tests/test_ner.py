@@ -306,6 +306,29 @@ def test_extract_brute_force_equivalence_randomized():
         assert [(m.start, m.root_end, m.end) for m in got] == ob_filter_invalid(text, char_spans, invalid)
 
 
+def test_extract_equals_oracle_for_nested_entries_cut_off_at_the_end():
+    # Roots and suffixes are prefixes of one chain each, so entries share a
+    # first token at several lengths, and the document ends inside a longer
+    # one; only an entry that fits in the tokens left may match.
+    rng = random.Random(11)
+    words = ["ALPHA", "BETA", "GAMMA", ","]
+    for _ in range(300):
+        root_chain = rng.choices(words[:3], k=rng.randint(1, 6))
+        suffix_chain = rng.choices(words, k=rng.randint(1, 4))
+        lengths = rng.sample(range(1, len(root_chain) + 1), rng.randint(1, len(root_chain)))
+        root_entries = {tuple(root_chain[:k]) for k in lengths}
+        suffix_entries = {tuple(suffix_chain[:k]) for k in range(1, len(suffix_chain) + 1) if rng.random() < 0.6}
+        tail = root_chain + suffix_chain
+        text = " ".join(rng.choices(words, k=rng.randint(0, 12)) + tail[: rng.randint(0, len(tail))])
+        d = doc(text)
+        tokens = token_triples(d)
+        spans = ob_extract_spans(tokenize(d), root_entries, suffix_entries)
+        got = Extractor(RootDictionary(frozenset(root_entries)), SuffixDictionary(frozenset(suffix_entries))).extract(d)
+        assert [(m.start, m.root_end, m.end) for m in got] == [
+            (tokens[s][1], tokens[r - 1][2], tokens[e - 1][2]) for s, r, e in spans
+        ]
+
+
 # ---------------------------------------------------------------------------
 # filter_by_role_keyword
 
