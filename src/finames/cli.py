@@ -36,6 +36,22 @@ class CliError(Exception):
     """Validation or usage problem; maps to exit code 2."""
 
 
+def _csv(value: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in value.split(",") if v.strip())
+
+
+# How a setting's text, from a config file or a flag, becomes its value; any
+# setting not listed is a plain string.
+_PARSERS = {
+    "name_lists": _csv,
+    "header_markers": _csv,
+    "summary_end_markers": _csv,
+    "role_keywords": _csv,
+    "threshold": float,
+    "window": int,
+}
+
+
 @dataclass
 class PipelineConfig:
     name_lists: tuple[str, ...] = ()
@@ -55,63 +71,23 @@ class PipelineConfig:
     role_keywords: tuple[str, ...] = tuple(sorted(DEFAULT_ROLE_KEYWORDS))
     window: int = DEFAULT_ROLE_WINDOW
 
-    _LIST_KEYS = ("name_lists", "header_markers", "summary_end_markers", "role_keywords")
-
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        known = {f.name for f in fields(cls) if not f.name.startswith("_")}
+        known = {f.name for f in fields(cls)}
         values: dict[str, object] = {}
         for number, line in entry_lines(path):
             key, sep, value = line.partition("=")
-            key = key.strip()
+            key, value = key.strip(), value.strip()
             if not sep or key not in known:
                 raise CliError(f"{path}:{number}: unknown or malformed config entry {line!r}")
-            value = value.strip()
-            if key in cls._LIST_KEYS:
-                values[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-            elif key in ("threshold", "window"):
-                try:
-                    values[key] = float(value) if key == "threshold" else int(value)
-                except ValueError:
-                    raise CliError(f"{path}:{number}: bad {key} {value!r}") from None
-            else:
-                values[key] = value
+            try:
+                values[key] = _PARSERS.get(key, str)(value)
+            except ValueError:
+                raise CliError(f"{path}:{number}: bad {key} {value!r}") from None
         return cls(**values)  # type: ignore[arg-type]
-
-    def override(self, args: argparse.Namespace) -> "PipelineConfig":
-        updates: dict[str, object] = {}
-        for f in fields(self):
-            if f.name.startswith("_"):
-                continue
-            value = getattr(args, f.name, None)
-            if value is None:
-                continue
-            if f.name in self._LIST_KEYS and isinstance(value, str):
-                value = tuple(v.strip() for v in value.split(",") if v.strip())
-            updates[f.name] = value
-        return replace(self, **updates)
 
     def section_config(self) -> SectionConfig:
         return SectionConfig(tuple(self.header_markers), tuple(self.summary_end_markers))
-
-    def er_config(self) -> er.ErConfig:
-        from . import er
-
-        stop_words = er.DEFAULT_ER_STOP_WORDS
-        abbreviations = dict(er.DEFAULT_ABBREVIATIONS)
-        overrides: dict[str, float] = {}
-        if self.stop_words:
-            stop_words = er.load_stop_words(_existing(self.stop_words, "stop_words"))
-        if self.abbreviations:
-            abbreviations = er.load_abbreviations(_existing(self.abbreviations, "abbreviations"))
-        if self.weight_overrides:
-            overrides = er.load_weight_overrides(_existing(self.weight_overrides, "weight_overrides"))
-        return er.ErConfig(
-            threshold=self.threshold,
-            stop_words=stop_words,
-            abbreviations=abbreviations,
-            weight_overrides=overrides,
-        )
 
 
 def _existing(path: str | Path, role: str) -> Path:
@@ -129,16 +105,21 @@ def _emit(text: str, output: Path | None) -> None:
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
-    config = PipelineConfig()
-    if args.config:
-        config = PipelineConfig.from_file(_existing(args.config, "config"))
-    return config.override(args)
+    """The --config file's settings (or the defaults), each one given as a flag replaced."""
+    config = PipelineConfig.from_file(_existing(args.config, "config")) if args.config else PipelineConfig()
+    return replace(config, **{f.name: v for f in fields(config) if (v := getattr(args, f.name, None)) is not None})
 
 
 def cmd_build_dicts(args: argparse.Namespace) -> int:
     config = _load_config(args)
     if not config.name_lists:
         raise CliError("build-dicts requires at least one name list (name_lists)")
+    root_path, suffix_path = Path(config.root_dict), Path(config.suffix_dict)
+    if args.output:
+        # --output names the directory; configured paths contribute the file names
+        root_path, suffix_path = args.output / root_path.name, args.output / suffix_path.name
+    if root_path.resolve() == suffix_path.resolve():
+        raise CliError(f"root and suffix dictionaries are the same file: {root_path}")
     lists = []
     for path in config.name_lists:
         source = Path(path)
@@ -148,13 +129,7 @@ def cmd_build_dicts(args: argparse.Namespace) -> int:
         patterns.extend(dict_gen.load_suffix_patterns(_existing(config.patterns, "patterns")))
     roots, suffixes = generate_dictionaries(lists, patterns=tuple(patterns))
     if args.output:
-        # --output names the directory; configured paths contribute the file names
         args.output.mkdir(parents=True, exist_ok=True)
-        root_path = args.output / Path(config.root_dict).name
-        suffix_path = args.output / Path(config.suffix_dict).name
-    else:
-        root_path = Path(config.root_dict)
-        suffix_path = Path(config.suffix_dict)
     dict_gen.save_root_dictionary(roots, root_path)
     dict_gen.save_suffix_dictionary(suffixes, suffix_path)
     for name_list in lists:
@@ -252,7 +227,13 @@ def _build_corpus(config: PipelineConfig) -> tuple[er.Corpus, er.ErConfig]:
     from . import er
     if not config.corpus:
         raise CliError("a corpus file is required (corpus)")
-    er_config = config.er_config()
+    # ErConfig's other fields come from er.load_<field> of the file a setting names.
+    loaded = {
+        f.name: getattr(er, f"load_{f.name}")(_existing(path, f.name))
+        for f in fields(er.ErConfig)
+        if f.name != "threshold" and (path := getattr(config, f.name))
+    }
+    er_config = er.ErConfig(threshold=config.threshold, **loaded)
     names = load_name_list(_existing(config.corpus, "corpus"), "corpus")
     if not names.names:
         raise CliError(f"corpus is empty: {config.corpus}")
@@ -331,43 +312,37 @@ def cmd_pr_curve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_settings(parser: argparse.ArgumentParser, *names: str) -> None:
+    """A flag per setting: ``--a-b`` for setting ``a_b``, parsed as in a config file."""
+    for name in names:
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=_PARSERS.get(name, str),
+                            help="comma-separated name list paths" if name == "name_lists" else None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="key=value config file")
     common.add_argument("--output", type=Path, help="output file (or directory for build-dicts)")
+    resolver = ("corpus", "stop_words", "abbreviations", "weight_overrides", "threshold")
 
     parser = argparse.ArgumentParser(prog="finames", description="Extract and resolve financial-institution names.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-dicts", parents=[common], help="generate root/suffix dictionaries from name lists")
-    p.add_argument("--name-lists", dest="name_lists", help="comma-separated name list paths")
-    p.add_argument("--root-dict", dest="root_dict")
-    p.add_argument("--suffix-dict", dest="suffix_dict")
-    p.add_argument("--patterns", dest="patterns")
+    _add_settings(p, "name_lists", "root_dict", "suffix_dict", "patterns")
     p.set_defaults(func=cmd_build_dicts)
 
     p = sub.add_parser("extract", parents=[common], help="extract mentions from documents to TSV")
     p.add_argument("documents", nargs="*", type=Path)
     p.add_argument("--sections", default="all", help="'all' or comma-separated labels (header,summary)")
     p.add_argument("--role-filter", action="store_true", help="keep only mentions near a role keyword")
-    p.add_argument("--role-keywords", dest="role_keywords")
-    p.add_argument("--window", dest="window", type=int)
-    p.add_argument("--root-dict", dest="root_dict")
-    p.add_argument("--suffix-dict", dest="suffix_dict")
-    p.add_argument("--custom-roots", dest="custom_roots")
-    p.add_argument("--custom-suffixes", dest="custom_suffixes")
-    p.add_argument("--invalid-elements", dest="invalid_elements")
-    p.add_argument("--header-markers", dest="header_markers")
-    p.add_argument("--summary-end-markers", dest="summary_end_markers")
+    _add_settings(p, "role_keywords", "window", "root_dict", "suffix_dict", "custom_roots", "custom_suffixes",
+                  "invalid_elements", "header_markers", "summary_end_markers")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("resolve", parents=[common], help="resolve a mentions TSV against the corpus")
     p.add_argument("mentions", type=Path)
-    p.add_argument("--corpus", dest="corpus")
-    p.add_argument("--stop-words", dest="stop_words")
-    p.add_argument("--abbreviations", dest="abbreviations")
-    p.add_argument("--weight-overrides", dest="weight_overrides")
-    p.add_argument("--threshold", dest="threshold", type=float)
+    _add_settings(p, *resolver)
     p.set_defaults(func=cmd_resolve)
 
     p = sub.add_parser("eval", parents=[common], help="score a mentions TSV against gold annotations")
@@ -378,11 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pr-curve", parents=[common], help="precision-recall curve for a scoring variant")
     p.add_argument("labeled", type=Path)
     p.add_argument("--variant", default="full", help="scoring variant: idf, sq, sqsc or full (default: full)")
-    p.add_argument("--corpus", dest="corpus")
-    p.add_argument("--stop-words", dest="stop_words")
-    p.add_argument("--abbreviations", dest="abbreviations")
-    p.add_argument("--weight-overrides", dest="weight_overrides")
-    p.add_argument("--threshold", dest="threshold", type=float)
+    _add_settings(p, *resolver)
     p.set_defaults(func=cmd_pr_curve)
 
     return parser

@@ -6,7 +6,7 @@ pattern suffix that follows, then resume scanning after the consumed span.
 Matching is purely token based, so line breaks inside a name do not matter.
 An entry is matched by looking its token slice up in the dictionary's own set,
 at every length from the dictionary's longest entry (or the tokens left, if
-fewer) down to one; only tokens that start some root are tried as roots.
+fewer) down to one, and only at a token that starts some entry of it.
 """
 from __future__ import annotations
 
@@ -76,6 +76,7 @@ class Extractor:
         self._first_tokens = frozenset(map(itemgetter(0), roots.entries))
         self._root_longest = max(map(len, roots.entries), default=0)
         self._suffixes = suffixes.literal_entries
+        self._suffix_first_tokens = frozenset(map(itemgetter(0), suffixes.literal_entries))
         self._suffix_longest = max(map(len, suffixes.literal_entries), default=0)
         self._patterns = suffixes.pattern_entries
         self._invalid = invalid
@@ -83,7 +84,9 @@ class Extractor:
     def _extend(self, texts: TokenSeq, pos: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         ranges: list[tuple[int, int]] = []
         while pos < len(texts):
-            length = _longest_match(self._suffixes, self._suffix_longest, texts, pos)
+            length = 0
+            if texts[pos] in self._suffix_first_tokens:
+                length = _longest_match(self._suffixes, self._suffix_longest, texts, pos)
             for pattern in self._patterns:
                 count = pattern.token_count
                 if count > length and pos + count <= len(texts) and pattern.matches(texts[pos : pos + count]):

@@ -1,13 +1,18 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import finames
-from finames.cli import main
+from finames import cli
+from finames.cli import CliError, PipelineConfig, main
 
 NAMES = [
     "GRANITE HARBOR BANK, N.A.",
@@ -638,3 +643,149 @@ def test_build_dicts_and_extract_load_no_resolver(workspace):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"codes": [0, 0, 2], "loaded": [], "unresolved": []}
     assert "'bogus'" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "root, suffix, output",
+    [("x.dict", "x.dict", None), ("x.dict", "./x.dict", None), ("x.dict", "d/../x.dict", None),
+     ("a/r.dict", "b/r.dict", "out")],
+)
+def test_build_dicts_same_root_and_suffix_file_exits_2(tmp_path, monkeypatch, capsys, root, suffix, output):
+    # The suffix dictionary used to overwrite the root dictionary, exit 0.
+    monkeypatch.chdir(tmp_path)
+    Path("names.txt").write_text("".join(n + "\n" for n in NAMES), encoding="utf-8")
+    args = ["build-dicts", "--name-lists", "names.txt", "--root-dict", root, "--suffix-dict", suffix]
+    assert main(args + (["--output", output] if output else [])) == 2
+    assert "root and suffix dictionaries are the same file" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["names.txt"]
+
+
+# Option strings of each subcommand's --help, in order.
+HELP_OPTIONS = {
+    "build-dicts": ["-h", "--config", "--output", "--name-lists", "--root-dict", "--suffix-dict", "--patterns"],
+    "extract": [
+        "-h", "--config", "--output", "--sections", "--role-filter", "--role-keywords", "--window", "--root-dict",
+        "--suffix-dict", "--custom-roots", "--custom-suffixes", "--invalid-elements", "--header-markers",
+        "--summary-end-markers",
+    ],
+    "resolve": ["-h", "--config", "--output", "--corpus", "--stop-words", "--abbreviations", "--weight-overrides",
+                "--threshold"],
+    "eval": ["-h", "--config", "--output"],
+    "pr-curve": ["-h", "--config", "--output", "--variant", "--corpus", "--stop-words", "--abbreviations",
+                 "--weight-overrides", "--threshold"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_OPTIONS))
+def test_help_lists_each_subcommands_options(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    found = re.findall(r"(?<![\w-])(-h|--[a-z][a-z-]*)", capsys.readouterr().out)
+    # the usage line names every option; "-h, --help" follows it
+    assert list(dict.fromkeys(found)) == HELP_OPTIONS[command] + ["--help"]
+
+
+# A subcommand that takes each setting as a flag, with its positional arguments.
+SETTING_COMMAND = {
+    "name_lists": ["build-dicts"], "root_dict": ["build-dicts"], "suffix_dict": ["build-dicts"],
+    "patterns": ["build-dicts"], "custom_roots": ["extract"], "custom_suffixes": ["extract"],
+    "invalid_elements": ["extract"], "header_markers": ["extract"], "summary_end_markers": ["extract"],
+    "role_keywords": ["extract"], "window": ["extract"], "corpus": ["resolve", "m.tsv"],
+    "stop_words": ["resolve", "m.tsv"], "abbreviations": ["resolve", "m.tsv"],
+    "weight_overrides": ["resolve", "m.tsv"], "threshold": ["pr-curve", "l.tsv"],
+}
+# Text and parsed value of a setting; any other setting takes the text as is.
+SETTING_TEXT = {
+    "name_lists": ("a.txt,b.txt", ("a.txt", "b.txt")), "header_markers": ("TOP, HEAD", ("TOP", "HEAD")),
+    "summary_end_markers": ("END", ("END",)), "role_keywords": ("AGENT,,SERVICER", ("AGENT", "SERVICER")),
+    "threshold": ("0.25", 0.25), "window": ("4", 4),
+}
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(PipelineConfig)])
+def test_config_key_and_flag_give_equal_configs(tmp_path, key):
+    assert set(SETTING_COMMAND) == {f.name for f in fields(PipelineConfig)}
+    text, value = SETTING_TEXT.get(key, ("some/file.txt", "some/file.txt"))
+    config = tmp_path / "pipeline.conf"
+    config.write_text(f"{key} = {text}\n", encoding="utf-8")
+    parser = cli.build_parser()
+    from_file = cli._load_config(parser.parse_args([*SETTING_COMMAND[key], "--config", str(config)]))
+    from_flag = cli._load_config(parser.parse_args([*SETTING_COMMAND[key], "--" + key.replace("_", "-"), text]))
+    assert from_file == from_flag == replace(PipelineConfig(), **{key: value}) != PipelineConfig()
+
+
+def _fuzz_workspace(tmp_path, monkeypatch, capsys):
+    """A directory holding tiny dictionaries, made the working directory."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "root.dict").write_text("GRANITE HARBOR\n", encoding="utf-8")
+    (tmp_path / "suffix.dict").write_text("BANK\n", encoding="utf-8")
+    capsys.readouterr()
+    return tmp_path / "fuzz.conf"
+
+
+def _extract_with(config, capsys):
+    """Exit code and standard error of ``extract --config`` on no documents."""
+    code = main(["extract", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert len(err.splitlines()) <= 1
+    return code, err
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.binary(max_size=120))
+def test_fuzz_config_bytes_through_cli(tmp_path, monkeypatch, capsys, data):
+    config = _fuzz_workspace(tmp_path, monkeypatch, capsys)
+    config.write_bytes(data)
+    code, err = _extract_with(config, capsys)
+    try:
+        PipelineConfig.from_file(config)
+    except CliError as exc:
+        assert re.match(rf"{re.escape(str(config))}:\d+: ", str(exc))
+        assert (code, err) == (2, f"error: {exc}\n")
+    except ValueError as exc:  # undecodable
+        assert (code, err) == (2, f"error: {exc}\n")
+        assert str(exc).startswith(f"{config}: not UTF-8")
+
+
+_PATH_VALUES = ("root.dict", "suffix.dict", "missing.txt", "", "A, B", "a=b", "#x")
+_GOOD_VALUES = {"threshold": ("0.5", "1e3", "nan", "-inf", "2"), "window": ("3", "-1", "+4", "0")}
+_BAD_VALUES = {"threshold": ("abc", "", "0.5.1", "1,5"), "window": ("1.5", "x", "", "3e1")}
+_UNKNOWN_KEYS = ("windows", "Threshold", "root-dict", "_LIST_KEYS", "config", "output", "sections", "", "x y")
+_SPACE = st.sampled_from(["", " ", "\t"])
+_KEYS = [f.name for f in fields(PipelineConfig)]
+
+
+@st.composite
+def _config_line(draw):
+    """(line, whether the reader must reject it)."""
+    kind = draw(st.sampled_from(["good", "good", "bad_value", "unknown_key", "no_equals", "skipped"]))
+    if kind == "skipped":
+        return draw(st.sampled_from(["", "   ", "# window = x", "  # threshold=abc"])), False
+    if kind == "no_equals":
+        return draw(st.sampled_from(_KEYS + ["threshold 0.5", "root_dict: x"])), True
+    if kind == "unknown_key":
+        key, value, bad = draw(st.sampled_from(_UNKNOWN_KEYS)), draw(st.sampled_from(_PATH_VALUES)), True
+    elif kind == "bad_value":
+        key = draw(st.sampled_from(sorted(_BAD_VALUES)))
+        value, bad = draw(st.sampled_from(_BAD_VALUES[key])), True
+    else:
+        key = draw(st.sampled_from(_KEYS))
+        value, bad = draw(st.sampled_from(_GOOD_VALUES.get(key, _PATH_VALUES))), False
+    return f"{draw(_SPACE)}{key}{draw(_SPACE)}={draw(_SPACE)}{value}{draw(_SPACE)}", bad
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_config_line(), max_size=6), newline=st.sampled_from(["\n", "\r\n"]))
+def test_fuzz_near_valid_config_through_cli(tmp_path, monkeypatch, capsys, lines, newline):
+    config = _fuzz_workspace(tmp_path, monkeypatch, capsys)
+    config.write_text("".join(line + newline for line, _ in lines), encoding="utf-8")
+    code, err = _extract_with(config, capsys)
+    bad = [number for number, (_, is_bad) in enumerate(lines, start=1) if is_bad]
+    if bad:
+        assert code == 2
+        assert err.startswith(f"error: {config}:{bad[0]}: ")
+    else:
+        # the reader accepts the file; a named dictionary may still be missing
+        assert code == 0 or (code == 2 and f"{config}:" not in err)
