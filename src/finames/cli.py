@@ -67,7 +67,7 @@ class PipelineConfig:
     weight_overrides: str | None = None
     header_markers: tuple[str, ...] = DEFAULT_HEADER_MARKERS
     summary_end_markers: tuple[str, ...] = DEFAULT_SUMMARY_END_MARKERS
-    threshold: float = 0.085
+    threshold: float | None = None  # None: er.ErConfig's default
     role_keywords: tuple[str, ...] = tuple(sorted(DEFAULT_ROLE_KEYWORDS))
     window: int = DEFAULT_ROLE_WINDOW
 
@@ -227,13 +227,16 @@ def _build_corpus(config: PipelineConfig) -> tuple[er.Corpus, er.ErConfig]:
     from . import er
     if not config.corpus:
         raise CliError("a corpus file is required (corpus)")
-    # ErConfig's other fields come from er.load_<field> of the file a setting names.
+    # ErConfig's other fields come from er.load_<field> of the file a setting
+    # names; a setting left unset keeps ErConfig's default.
     loaded = {
         f.name: getattr(er, f"load_{f.name}")(_existing(path, f.name))
         for f in fields(er.ErConfig)
         if f.name != "threshold" and (path := getattr(config, f.name))
     }
-    er_config = er.ErConfig(threshold=config.threshold, **loaded)
+    if config.threshold is not None:
+        loaded["threshold"] = config.threshold
+    er_config = er.ErConfig(**loaded)
     names = load_name_list(_existing(config.corpus, "corpus"), "corpus")
     if not names.names:
         raise CliError(f"corpus is empty: {config.corpus}")
@@ -263,6 +266,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     from . import evaluation
+    _load_config(args)  # eval takes no setting, but a bad --config is still an error
     rows = _read_tsv(_existing(args.mentions, "mentions"), 5, "5 tab-separated columns")
     gold_rows = _read_tsv(_existing(args.gold, "gold"), 4, "4 tab-separated columns")
     gold = [evaluation.GoldMention(*row[:4]) for row in gold_rows]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,6 +32,9 @@ from .textutil import (
 )
 
 STOP_TOKENS = frozenset({"THE", "OF", "AND", "A", "AN"})
+# Tokens that carry no name of their own: a trigram holding one is not a
+# root, and an entry made only of them is dropped.
+_FILLER_TOKENS = STOP_TOKENS | {COMMA}
 
 SPECIAL_TOKENS = frozenset({"BANK", "FUND", "TRUST", "CORP", "GROUP"})
 
@@ -134,6 +136,12 @@ class SuffixPattern:
         return all(m.fullmatch(t) for m, t in zip(self._matchers, tokens))
 
 
+def _by_pattern_text(patterns: Iterable[SuffixPattern]) -> tuple[SuffixPattern, ...]:
+    """One pattern per pattern text (a later one replaces an earlier), in text order."""
+    by_text = {p.pattern_text: p for p in patterns}
+    return tuple(by_text[text] for text in sorted(by_text))
+
+
 BUILTIN_SUFFIX_PATTERNS = (
     SuffixPattern(r"SERIES \d{4}-[A-Z0-9]+", ("SERIES 2005-HE3",)),
     SuffixPattern(r"TRUST \d{4}-[A-Z0-9]+", ("TRUST 2006-1", "TRUST 2006-A1")),
@@ -175,45 +183,22 @@ def _strip_edge_commas(tokens: Sequence[str]) -> TokenSeq:
     return seq
 
 
-def _comma_segments(tokens: TokenSeq) -> list[TokenSeq]:
-    segments: list[TokenSeq] = []
-    current: list[str] = []
-    for tok in tokens:
-        if tok == COMMA:
-            segments.append(tuple(current))
-            current = []
-        else:
-            current.append(tok)
-    segments.append(tuple(current))
-    return segments
-
-
-def split_on_commas(name: NormalizedName) -> tuple[list[TokenSeq], list[TokenSeq]]:
+def split_on_commas(name: NormalizedName) -> tuple[set[TokenSeq], set[TokenSeq]]:
     """Mine roots and suffixes from a comma-structured name 'A, B, ..., E'.
 
     Roots are every proper comma-prefix plus any long middle segment;
     suffixes are each trailing segment with its leading comma.
     """
     tokens = name.tokens
-    if COMMA not in tokens:
+    commas = [i for i, tok in enumerate(tokens) if tok == COMMA]
+    if not commas:
         raise ValueError(f"name has no comma: {name.text!r}")
-    segments = _comma_segments(tokens)
-    roots: list[TokenSeq] = []
-    suffixes: list[TokenSeq] = []
-    for k in range(1, len(segments)):
-        prefix = tuple(chain.from_iterable((COMMA,) + seg if i else seg for i, seg in enumerate(segments[:k])))
-        prefix = _strip_edge_commas(prefix)
-        if prefix and prefix not in roots:
-            roots.append(prefix)
-    for segment in segments[1:-1]:
-        if not segment:
-            continue
+    roots = {prefix for c in commas if (prefix := _strip_edge_commas(tokens[:c]))}
+    for c, end in zip(commas, commas[1:]):
+        segment = tokens[c + 1 : end]
         if len(segment) >= _LONG_SEGMENT_TOKENS or len(join_tokens(segment)) >= _LONG_SEGMENT_CHARS:
-            if segment not in roots:
-                roots.append(segment)
-    for segment in segments[1:]:
-        if segment:
-            suffixes.append((COMMA,) + segment)
+            roots.add(segment)
+    suffixes = {tokens[c:end] for c, end in zip(commas, commas[1:] + [len(tokens)]) if end > c + 1}
     return roots, suffixes
 
 
@@ -232,25 +217,13 @@ def extract_trailing_suffix(name: NormalizedName) -> TokenSeq | None:
     return (last,)
 
 
-def root_variants(name: NormalizedName, suffix: TokenSeq | None = None) -> list[TokenSeq]:
+def root_variants(name: NormalizedName, suffix: TokenSeq | None = None) -> set[TokenSeq]:
     """Whole name, name without its suffix, and both again without the first token."""
     tokens = name.tokens
-    variants: list[TokenSeq] = []
-
-    def add(seq: Sequence[str]) -> None:
-        trimmed = _strip_edge_commas(seq)
-        if trimmed and trimmed not in variants:
-            variants.append(trimmed)
-
-    add(tokens)
-    strip_suffix = suffix is not None and 0 < len(suffix) < len(tokens) and tokens[-len(suffix) :] == tuple(suffix)
-    if strip_suffix:
-        add(tokens[: -len(suffix)])
-    if len(tokens) > 1:
-        add(tokens[1:])
-        if strip_suffix:
-            add(tokens[1 : -len(suffix)])
-    return variants
+    variants = [tokens, tokens[1:]]
+    if suffix is not None and 0 < len(suffix) < len(tokens) and tokens[-len(suffix) :] == tuple(suffix):
+        variants += [tokens[: -len(suffix)], tokens[1 : -len(suffix)]]
+    return {trimmed for seq in variants if (trimmed := _strip_edge_commas(seq))}
 
 
 def split_on_special_token(name: NormalizedName) -> tuple[TokenSeq | None, TokenSeq | None] | None:
@@ -276,15 +249,8 @@ def split_on_special_token(name: NormalizedName) -> tuple[TokenSeq | None, Token
 def trigram_roots(name: NormalizedName) -> set[TokenSeq]:
     """All 3-token windows of a long name that contain no stop token or comma."""
     tokens = name.tokens
-    if len(tokens) < _TRIGRAM_MIN_TOKENS:
-        return set()
-    windows: set[TokenSeq] = set()
-    for i in range(len(tokens) - 2):
-        window = tokens[i : i + 3]
-        if any(tok in STOP_TOKENS or tok == COMMA for tok in window):
-            continue
-        windows.add(window)
-    return windows
+    windows = zip(tokens, tokens[1:], tokens[2:]) if len(tokens) >= _TRIGRAM_MIN_TOKENS else ()
+    return {window for window in windows if _FILLER_TOKENS.isdisjoint(window)}
 
 
 def apply_filters(entries: Iterable[TokenSeq]) -> set[TokenSeq]:
@@ -302,7 +268,7 @@ def apply_filters(entries: Iterable[TokenSeq]) -> set[TokenSeq]:
             continue
         if len(entry) == 1 and entry[0] in _SINGLE_TOKEN_DROPS:
             continue
-        if all(tok in STOP_TOKENS or tok == COMMA for tok in entry):
+        if _FILLER_TOKENS.issuperset(entry):
             continue
         kept.add(entry)
     return kept
@@ -321,7 +287,7 @@ def generate_dictionaries(
     roots: set[TokenSeq] = set()
     suffixes: set[TokenSeq] = set()
     unique_names = {name.text: name for lst in lists for name in lst.names}
-    for _, name in sorted(unique_names.items()):
+    for name in unique_names.values():
         stripped = strip_trailing_garbage(name.text)
         if len(stripped) < MIN_NAME_LENGTH:
             continue
@@ -346,9 +312,8 @@ def generate_dictionaries(
             if suffix_part:
                 suffixes.add(suffix_part)
         roots.update(trigram_roots(name))
-    pattern_entries = tuple(sorted(set(patterns), key=lambda p: p.pattern_text))
-    literal = apply_filters(suffixes)
-    literal = {entry for entry in literal if not any(p.matches(entry) for p in pattern_entries)}
+    pattern_entries = _by_pattern_text(patterns)
+    literal = {entry for entry in apply_filters(suffixes) if not any(p.matches(entry) for p in pattern_entries)}
     return (
         RootDictionary(frozenset(apply_filters(roots))),
         SuffixDictionary(frozenset(literal), pattern_entries),
@@ -362,7 +327,7 @@ def save_root_dictionary(dictionary: RootDictionary, path: str | Path) -> None:
 
 def save_suffix_dictionary(dictionary: SuffixDictionary, path: str | Path) -> None:
     lines = sorted(join_tokens(entry) for entry in dictionary.literal_entries)
-    lines += [PATTERN_PREFIX + p.pattern_text for p in sorted(dictionary.pattern_entries, key=lambda p: p.pattern_text)]
+    lines += [PATTERN_PREFIX + p.pattern_text for p in _by_pattern_text(dictionary.pattern_entries)]
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
@@ -410,7 +375,7 @@ def load_suffix_dictionary(path: str | Path) -> SuffixDictionary:
             tokens = name_tokens(line)
             if tokens:
                 literal.add(tokens)
-    return SuffixDictionary(frozenset(literal), tuple(sorted(set(patterns), key=lambda p: p.pattern_text)))
+    return SuffixDictionary(frozenset(literal), _by_pattern_text(patterns))
 
 
 def load_suffix_patterns(path: str | Path) -> tuple[SuffixPattern, ...]:

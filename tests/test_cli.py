@@ -286,6 +286,20 @@ def test_eval_overlapping_gold_exits_2(workspace, capsys):
     assert main(["eval", str(mentions), str(gold)]) == 2
 
 
+@pytest.mark.parametrize("config_text", [None, "garbage line\n"])
+def test_eval_bad_config_exits_2(tmp_path, capsys, config_text):
+    # eval takes no setting, but reads --config like every other subcommand
+    mentions, gold = tmp_path / "m.tsv", tmp_path / "g.tsv"
+    mentions.write_text("doc1.txt\t0\t10\tBODY\tX\n", encoding="utf-8")
+    gold.write_text("doc1.txt\t0\t10\tX\n", encoding="utf-8")
+    config = tmp_path / "eval.conf"
+    if config_text is not None:
+        config.write_text(config_text, encoding="utf-8")
+    assert main(["eval", str(mentions), str(gold), "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}:1: " if config_text else f"error: config file not found: {config}")
+
+
 @pytest.mark.parametrize("start, end", [(30, 5), (-5, -1), (7, 7)])
 @pytest.mark.parametrize("bad_file", ["mentions", "gold"])
 def test_eval_bad_span_exits_2(workspace, capsys, bad_file, start, end):
@@ -607,6 +621,29 @@ def test_build_dicts_with_pattern_file(tmp_path, capsys):
     assert code == 0
     suffix_lines = (tmp_path / "suffix.dict").read_text(encoding="utf-8").splitlines()
     assert "re:NOTES \\d{4}-[A-Z0-9]+" in suffix_lines
+
+
+def test_build_dicts_pattern_repeating_a_builtin_is_written_once(tmp_path, capsys):
+    # The file's pattern has no examples, so it differs from the built-in one
+    # as a value; the dictionary still keeps one pattern per pattern text.
+    names = tmp_path / "names.txt"
+    names.write_text("MERIDIAN NOTES\n", encoding="utf-8")
+    patterns = tmp_path / "patterns.txt"
+    patterns.write_text("SERIES \\d{4}-[A-Z0-9]+\n", encoding="utf-8")
+    args = ["build-dicts", "--name-lists", str(names), "--patterns", str(patterns), "--output", str(tmp_path)]
+    assert main(args) == 0
+    assert "patterns: 2 ->" in capsys.readouterr().out
+    suffix_lines = (tmp_path / "suffix.dict").read_text(encoding="utf-8").splitlines()
+    assert suffix_lines.count("re:SERIES \\d{4}-[A-Z0-9]+") == 1
+    assert len(cli.dict_gen.load_suffix_dictionary(tmp_path / "suffix.dict").pattern_entries) == 2
+
+
+def test_unset_settings_keep_er_config_defaults(workspace):
+    from finames import er
+    tmp_path, _, _ = workspace
+    _, er_config = cli._build_corpus(PipelineConfig(corpus=str(tmp_path / "corpus.txt")))
+    assert PipelineConfig().threshold is None
+    assert er_config == er.ErConfig()
 
 
 _IMPORT_PROBE = """

@@ -18,7 +18,7 @@ from finames.dict_gen import (
     split_on_special_token,
     trigram_roots,
 )
-from finames.ingest import name_list_from_strings, normalize_name
+from finames.ingest import NameList, name_list_from_strings, normalize_name
 from finames.textutil import name_tokens
 
 from oracles import ob_token_entries
@@ -57,27 +57,39 @@ def test_split_on_commas_requires_comma():
         split_on_commas(normalize_name("NO COMMA HERE"))
 
 
-def test_split_on_commas_matches_enumeration():
-    # Independent enumeration over the segment structure.
-    segments = [("ALPHA", "ONE"), ("BETAVALUE",), ("GC",), ("DELTA", "TWO"), ("END",)]
-    text = ", ".join(" ".join(seg) for seg in segments)
-    roots, suffixes = split_on_commas(normalize_name(text))
+@given(
+    st.lists(
+        st.lists(st.sampled_from(["ALPHA", "ONE", "BETAVALUE", "GC", "N.A.", "INC."]), max_size=3).map(tuple),
+        min_size=2,
+        max_size=6,
+    )
+)
+@example([("ALPHA", "ONE"), ("BETAVALUE",), ("GC",), ("ALPHA", "GC"), ("ONE",)])
+@example([(), ("ALPHA",), (), (), ("GC",), ()])  # leading, doubled and trailing commas
+def test_split_on_commas_matches_enumeration(segments):
+    # Independent enumeration over the segment structure: the name is the
+    # segments joined by commas, and an empty segment leaves two commas
+    # adjacent or one at an edge.
+    roots, suffixes = split_on_commas(normalize_name(", ".join(" ".join(seg) for seg in segments)))
 
     expected_roots = set()
     for k in range(1, len(segments)):
-        flat = []
-        for i, seg in enumerate(segments[:k]):
-            if i:
-                flat.append(",")
-            flat.extend(seg)
-        expected_roots.add(tuple(flat))
+        flat = list(segments[0])
+        for seg in segments[1:k]:
+            flat += [","] + list(seg)
+        while flat and flat[0] == ",":
+            flat.pop(0)
+        while flat and flat[-1] == ",":
+            flat.pop()
+        if flat:
+            expected_roots.add(tuple(flat))
     for seg in segments[1:-1]:
         if len(seg) >= 2 or len(" ".join(seg)) >= 8:
-            expected_roots.add(tuple(seg))
-    expected_suffixes = {(",",) + tuple(seg) for seg in segments[1:]}
+            expected_roots.add(seg)
+    expected_suffixes = {(",",) + seg for seg in segments[1:] if seg}
 
-    assert set(roots) == expected_roots  # "GC" is short and excluded
-    assert set(suffixes) == expected_suffixes
+    assert roots == expected_roots  # a short middle segment ("GC") is no root
+    assert suffixes == expected_suffixes
 
 
 # ---------------------------------------------------------------------------
@@ -112,19 +124,28 @@ def test_trailing_suffix_rejects_commas():
 
 def test_root_variants_worked_example():
     name = normalize_name("J.P. MORGAN ALTERNATIVE LOAN TRUST 2006-A1")
-    variants = set(root_variants(name, ("TRUST", "2006-A1")))
-    assert toks("J.P. MORGAN ALTERNATIVE LOAN TRUST 2006-A1") in variants
-    assert toks("J.P. MORGAN ALTERNATIVE LOAN") in variants
-    assert toks("MORGAN ALTERNATIVE LOAN") in variants
+    assert root_variants(name, ("TRUST", "2006-A1")) == {
+        toks("J.P. MORGAN ALTERNATIVE LOAN TRUST 2006-A1"),
+        toks("J.P. MORGAN ALTERNATIVE LOAN"),
+        toks("MORGAN ALTERNATIVE LOAN TRUST 2006-A1"),
+        toks("MORGAN ALTERNATIVE LOAN"),
+    }
 
 
 def test_root_variants_single_token():
-    assert root_variants(normalize_name("ACMECO")) == [("ACMECO",)]
+    assert root_variants(normalize_name("ACMECO")) == {("ACMECO",)}
 
 
 def test_root_variants_two_tokens_no_suffix():
-    variants = root_variants(normalize_name("ALPHA BETA"))
-    assert set(variants) == {("ALPHA", "BETA"), ("BETA",)}
+    assert root_variants(normalize_name("ALPHA BETA")) == {("ALPHA", "BETA"), ("BETA",)}
+
+
+def test_root_variants_strip_edge_commas_and_drop_empty_variants():
+    # the suffix is the whole name but for its leading comma, so the name
+    # without the suffix is only a comma
+    assert root_variants(normalize_name(", ALPHA BETA,"), toks("ALPHA BETA,")) == {
+        toks("ALPHA BETA"),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +278,28 @@ def test_generate_empty_input():
     assert suffixes.pattern_entries == BUILTIN_SUFFIX_PATTERNS
 
 
+# Name words with commas, stop tokens, type keywords, address and location
+# terms, a "#"-led token and trailing "/" garbage.
+_NAME_WORDS = [
+    "GRANITE", "HARBOR", "MERIDIAN", "CAPITAL", ",", "OF", "THE", "BANK", "TRUST", "2006-A1", "N.A.",
+    "STREET", "BOSTON", "#4", "/BD", "/ ADV",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    names=st.lists(st.lists(st.sampled_from(_NAME_WORDS), min_size=1, max_size=7).map(" ".join), max_size=8),
+    data=st.data(),
+)
+def test_generate_ignores_name_order_split_and_duplication(names, data):
+    repeats = data.draw(st.lists(st.sampled_from(names), max_size=4)) if names else []
+    shuffled = data.draw(st.permutations(names + repeats))
+    cut = data.draw(st.integers(0, len(shuffled)))
+    lists = [NameList("a", tuple(map(normalize_name, shuffled[:cut]))),
+             NameList("b", tuple(map(normalize_name, shuffled[cut:])))]
+    assert generate_dictionaries(lists) == generate_dictionaries([name_list_from_strings(names, "x")])
+
+
 def test_generate_duplicate_lists_are_idempotent():
     one = [name_list_from_strings(GOLDEN_NAMES, "a")]
     two = one + [name_list_from_strings(GOLDEN_NAMES, "b")]
@@ -316,7 +359,9 @@ def test_hash_led_entries_dropped_so_round_trip_is_exact(tmp_path):
 _LINE_CHARS = st.sampled_from(
     [",", " ", "#", "re:", "RE:", "\t", "\x7f", "\x85", "\xa0", "\u2028", "\ufeff", "ß", "ﬁ", "a", "Z"]
 )
-_LINE_CHARS |= st.sampled_from([chr(c) for c in range(32)]) | st.characters()
+# A lone surrogate cannot be written as UTF-8, so characters are drawn from
+# those that can.
+_LINE_CHARS |= st.sampled_from([chr(c) for c in range(32)]) | st.characters(codec="utf-8")
 
 
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
