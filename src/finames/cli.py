@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 # ``er`` and ``evaluation`` are imported by the commands that use them, so
 # that build-dicts and extract never load the resolver.
@@ -52,8 +51,7 @@ _PARSERS = {
 }
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     name_lists: tuple[str, ...] = ()
     root_dict: str = "root.dict"
     suffix_dict: str = "suffix.dict"
@@ -73,12 +71,11 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
         values: dict[str, object] = {}
         for number, line in entry_lines(path):
             key, sep, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if not sep or key not in known:
+            if not sep or key not in cls._fields:
                 raise CliError(f"{path}:{number}: unknown or malformed config entry {line!r}")
             try:
                 values[key] = _PARSERS.get(key, str)(value)
@@ -107,7 +104,7 @@ def _emit(text: str, output: Path | None) -> None:
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
     """The --config file's settings (or the defaults), each one given as a flag replaced."""
     config = PipelineConfig.from_file(_existing(args.config, "config")) if args.config else PipelineConfig()
-    return replace(config, **{f.name: v for f in fields(config) if (v := getattr(args, f.name, None)) is not None})
+    return config._replace(**{name: v for name in config._fields if (v := getattr(args, name, None)) is not None})
 
 
 def cmd_build_dicts(args: argparse.Namespace) -> int:
@@ -230,9 +227,9 @@ def _build_corpus(config: PipelineConfig) -> tuple[er.Corpus, er.ErConfig]:
     # ErConfig's other fields come from er.load_<field> of the file a setting
     # names; a setting left unset keeps ErConfig's default.
     loaded = {
-        f.name: getattr(er, f"load_{f.name}")(_existing(path, f.name))
-        for f in fields(er.ErConfig)
-        if f.name != "threshold" and (path := getattr(config, f.name))
+        name: getattr(er, f"load_{name}")(_existing(path, name))
+        for name in er.ErConfig._fields
+        if name != "threshold" and (path := getattr(config, name))
     }
     if config.threshold is not None:
         loaded["threshold"] = config.threshold

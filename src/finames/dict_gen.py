@@ -15,9 +15,8 @@ token-level class: literal tokens, ``\\d{n}`` for a run of exactly n digits,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .ingest import MIN_NAME_LENGTH, NameList, NormalizedName, normalize_name, strip_trailing_garbage
 from .textutil import (
@@ -99,16 +98,18 @@ def _translate_pattern_token(token: str) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True)
-class SuffixPattern:
-    """Token-sequence pattern for suffixes that mix keywords and numbering,
-    compiled once; a bad pattern or a missed positive example raises ValueError."""
-
+class _SuffixPatternFields(NamedTuple):
     pattern_text: str
     positive_examples: tuple[str, ...] = ()
-    _matchers: tuple[re.Pattern[str], ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+
+class SuffixPattern(_SuffixPatternFields):
+    """Token-sequence pattern for suffixes that mix keywords and numbering,
+    compiled once; a bad pattern or a missed positive example raises ValueError.
+    The compiled matchers are not a field: equality and hashing ignore them."""
+
+    def __new__(cls, *args: object, **kwargs: object) -> SuffixPattern:
+        self = super().__new__(cls, *args, **kwargs)
         tokens = self.pattern_text.split()
         if not tokens:
             raise ValueError("empty suffix pattern")
@@ -121,10 +122,16 @@ class SuffixPattern:
         empty = next((tok for tok, m in zip(tokens, matchers) if m.fullmatch("")), None)
         if empty is not None:
             raise ValueError(f"{self.pattern_text!r}: token {empty!r} can match only an empty token")
-        object.__setattr__(self, "_matchers", matchers)
+        self._matchers = matchers
         for example in self.positive_examples:
             if not self.matches(name_tokens(example)):
                 raise ValueError(f"pattern {self.pattern_text!r} does not match its example {example!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> SuffixPattern:
+        """``_replace`` builds through here: the result is compiled and checked too."""
+        return cls(*iterable)
 
     @property
     def token_count(self) -> int:
@@ -148,9 +155,17 @@ BUILTIN_SUFFIX_PATTERNS = (
 )
 
 
-@dataclass(frozen=True)
 class RootDictionary:
-    entries: frozenset[TokenSeq]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: frozenset[TokenSeq]) -> None:
+        self.entries = entries
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, RootDictionary) and self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -159,10 +174,18 @@ class RootDictionary:
         return tokens in self.entries
 
 
-@dataclass(frozen=True)
 class SuffixDictionary:
-    literal_entries: frozenset[TokenSeq]
-    pattern_entries: tuple[SuffixPattern, ...] = ()
+    __slots__ = ("literal_entries", "pattern_entries")
+
+    def __init__(self, literal_entries: frozenset[TokenSeq], pattern_entries: tuple[SuffixPattern, ...] = ()) -> None:
+        self.literal_entries, self.pattern_entries = literal_entries, pattern_entries
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SuffixDictionary) and (self.literal_entries, self.pattern_entries) == (
+            other.literal_entries, other.pattern_entries)
+
+    def __hash__(self) -> int:
+        return hash((self.literal_entries, self.pattern_entries))
 
     def __len__(self) -> int:
         return len(self.literal_entries) + len(self.pattern_entries)

@@ -19,9 +19,9 @@ import functools
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .ingest import NameList, NormalizedName
 from .textutil import entry_lines
@@ -32,9 +32,9 @@ DEFAULT_ER_STOP_WORDS = frozenset(
     {"THE", "A", "AN", "AND", "OF", "LLC", "INC", "LTD", "LP", "LLP", "PLC", "CO"}
 )
 
-DEFAULT_ABBREVIATIONS: Mapping[str, tuple[str, ...]] = {
+DEFAULT_ABBREVIATIONS: Mapping[str, tuple[str, ...]] = MappingProxyType({
     "WAMU": ("WASHINGTON", "MUTUAL"),
-}
+})
 
 # Largest accepted weight: s_q <= 2 * MAX_WEIGHT and s_b <= 1, so every score
 # and every ranking bound stays finite; the undecayed ``idf`` sum saturates.
@@ -46,24 +46,34 @@ SCORE_VARIANTS = ("idf", "sq", "sqsc", "full")
 Factors = tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class ErConfig:
+class _ErConfigFields(NamedTuple):
     threshold: float = 0.085
     stop_words: frozenset[str] = DEFAULT_ER_STOP_WORDS
-    abbreviations: Mapping[str, tuple[str, ...]] = field(default_factory=lambda: dict(DEFAULT_ABBREVIATIONS))
-    weight_overrides: Mapping[str, float] = field(default_factory=dict)
+    # Defaults are shared by every config, so they are read-only.
+    abbreviations: Mapping[str, tuple[str, ...]] = DEFAULT_ABBREVIATIONS
+    weight_overrides: Mapping[str, float] = MappingProxyType({})
 
-    def __post_init__(self) -> None:
+
+class ErConfig(_ErConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> ErConfig:
+        self = super().__new__(cls, *args, **kwargs)
         # ``not x >= 0`` also rejects NaN, which fails every comparison.
         if not self.threshold >= 0:
             raise ValueError(f"threshold must be >= 0, got {self.threshold}")
         for token, weight in self.weight_overrides.items():
             if not 0 <= weight <= MAX_WEIGHT:
                 raise ValueError(f"weight override for {token!r} must be >= 0 and <= {MAX_WEIGHT}, got {weight}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> ErConfig:
+        """``_replace`` builds through here: the result is validated too."""
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     original: str
     tokens: tuple[str, ...]
 
@@ -95,15 +105,21 @@ def preprocess(mention: str, config: ErConfig) -> Query:
     return Query(mention, _tokens(mention, config))
 
 
-@dataclass(frozen=True)
 class Corpus:
     """Resolution targets with their inverted index and token rarity weights."""
 
-    entries: tuple[NormalizedName, ...]
-    tokens: tuple[tuple[str, ...], ...]
-    inverted_index: Mapping[str, tuple[int, ...]]
-    idf: Mapping[str, float]
-    weight_overrides: Mapping[str, float]
+    __slots__ = ("entries", "tokens", "inverted_index", "idf", "weight_overrides")
+
+    def __init__(
+        self,
+        entries: tuple[NormalizedName, ...],
+        tokens: tuple[tuple[str, ...], ...],
+        inverted_index: Mapping[str, tuple[int, ...]],
+        idf: Mapping[str, float],
+        weight_overrides: Mapping[str, float],
+    ) -> None:
+        self.entries, self.tokens, self.inverted_index = entries, tokens, inverted_index
+        self.idf, self.weight_overrides = idf, weight_overrides
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -215,8 +231,7 @@ def score(q: Sequence[str], p: Sequence[str], weight: Callable[[str], float]) ->
     return score_sq(q, p, weight) * score_sc(q, p) + score_sb(q, p)
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     query: Query
     entry_id: int
     entry_name: str

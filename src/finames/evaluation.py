@@ -9,9 +9,8 @@ scoring variants.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .er import Corpus, ErConfig, MatchResult, preprocess, rank
 
@@ -22,16 +21,14 @@ PAR = "PAR"
 UNDEF = "undef"
 
 
-@dataclass(frozen=True)
-class GoldMention:
+class GoldMention(NamedTuple):
     doc_id: str
     start: int
     end: int
     surface: str = ""
 
 
-@dataclass(frozen=True)
-class LabeledMention:
+class LabeledMention(NamedTuple):
     doc_id: str
     start: int
     end: int
@@ -40,16 +37,14 @@ class LabeledMention:
     gold_end: int | None = None
 
 
-@dataclass(frozen=True)
-class EvalCounts:
+class EvalCounts(NamedTuple):
     all: int
     wro: int
     par: int
     mis: int
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(NamedTuple):
     """Metric values in [0, 1]; None marks an undefined (0/0) metric."""
 
     pre: float | None
@@ -60,8 +55,7 @@ class MetricReport:
     par_f1: float | None
 
 
-@dataclass(frozen=True)
-class PrPoint:
+class PrPoint(NamedTuple):
     threshold: float
     precision: float
     recall: float

@@ -3,11 +3,10 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .textutil import TOKEN, TokenSeq, entry_lines, join_tokens, name_tokens, read_utf8
 
@@ -28,16 +27,16 @@ DEFAULT_HEADER_MARKERS = ("SUMMARY", "PROSPECTUS SUPPLEMENT")
 DEFAULT_SUMMARY_END_MARKERS = ("TABLE OF CONTENTS",)
 
 
-@dataclass(frozen=True, order=True)
-class NormalizedName:
+class NormalizedName(NamedTuple):
     """Canonical uppercase form of an entity name plus its token sequence.
 
     Joining ``tokens`` with single spaces and re-attaching commas reproduces
-    ``text`` exactly.
+    ``text`` exactly, and ``name_tokens(text)`` gives ``tokens`` back; so
+    equality and order, which compare both fields, follow ``text``.
     """
 
     text: str
-    tokens: TokenSeq = field(compare=False)
+    tokens: TokenSeq
 
 
 def normalize_name(raw: str) -> NormalizedName:
@@ -45,14 +44,16 @@ def normalize_name(raw: str) -> NormalizedName:
     return NormalizedName(join_tokens(tokens), tokens)
 
 
-@dataclass(frozen=True)
 class NameList:
     """Deduplicated, sorted set of normalized names from one source."""
 
-    source_id: str
-    names: tuple[NormalizedName, ...]
-    dropped_short: int = 0
-    dropped_duplicates: int = 0
+    __slots__ = ("source_id", "names", "dropped_short", "dropped_duplicates")
+
+    def __init__(
+        self, source_id: str, names: tuple[NormalizedName, ...], dropped_short: int = 0, dropped_duplicates: int = 0
+    ) -> None:
+        self.source_id, self.names = source_id, names
+        self.dropped_short, self.dropped_duplicates = dropped_short, dropped_duplicates
 
     def __len__(self) -> int:
         return len(self.names)
@@ -100,6 +101,8 @@ def strip_trailing_garbage(name: str) -> str:
     characters; the rule is applied to a fixpoint so the result is stable
     under re-application.
     """
+    if "\\" not in name and "/" not in name and "#" not in name:  # none of GARBAGE_DELIMITERS
+        return name
     current = name
     while True:
         cut = max(current.rfind(d) for d in GARBAGE_DELIMITERS)
@@ -111,19 +114,19 @@ def strip_trailing_garbage(name: str) -> str:
         current = current[:cut].rstrip()
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(NamedTuple):
     label: str
     start: int
     end: int
 
 
-@dataclass(frozen=True)
-class Document:
+class _DocumentFields(NamedTuple):
     doc_id: str
     raw_text: str
     sections: tuple[Section, ...]
 
+
+class Document(_DocumentFields):
     @cached_property
     def _cut(self) -> tuple[TokenSeq, tuple[int, ...]]:
         # Separator runs and tokens alternate in ``parts``, starting and ending
@@ -172,12 +175,13 @@ class _Markers:
         return hit.start() if hit else -1
 
 
-@dataclass(frozen=True)
-class SectionConfig:
-    """Marker strings that delimit the header, summary and body of a filing."""
-
+class _SectionConfigFields(NamedTuple):
     header_markers: tuple[str, ...] = DEFAULT_HEADER_MARKERS
     summary_end_markers: tuple[str, ...] = DEFAULT_SUMMARY_END_MARKERS
+
+
+class SectionConfig(_SectionConfigFields):
+    """Marker strings that delimit the header, summary and body of a filing."""
 
     @cached_property
     def _header(self) -> _Markers:

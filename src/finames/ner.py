@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import string
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dict_gen import RootDictionary, SuffixDictionary
 from .ingest import Document
@@ -35,8 +34,7 @@ def tokenize(doc: Document) -> TokenSeq:
     return doc.tokens
 
 
-@dataclass(frozen=True)
-class Mention:
+class Mention(NamedTuple):
     """An extracted name occurrence with its root/suffix decomposition: the
     root covers ``start``..``root_end``, each suffix one of ``suffix_spans``."""
 

@@ -3,7 +3,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -682,6 +681,43 @@ def test_build_dicts_and_extract_load_no_resolver(workspace):
     assert "'bogus'" in proc.stderr
 
 
+_STDLIB_PROBE = """
+import json, sys
+from finames.cli import main
+
+config, doc, gold, labeled, out = sys.argv[1:]
+mentions = out + "/mentions.tsv"
+codes = [
+    main(["build-dicts", "--config", config]),
+    main(["extract", "--config", config, "--output", mentions, doc]),
+    main(["resolve", "--config", config, "--output", out + "/resolved.tsv", mentions]),
+    main(["eval", mentions, gold, "--output", out + "/report.tsv"]),
+    main(["pr-curve", "--config", config, "--output", out + "/pr.csv", labeled]),
+]
+print(json.dumps({"codes": codes, "loaded": sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)}))
+"""
+
+
+def test_no_command_loads_dataclasses_or_inspect(workspace):
+    # One fresh interpreter runs every subcommand: none of them pays for
+    # importing dataclasses (and the inspect module it loads) at start-up.
+    tmp_path, config, doc = workspace
+    gold = tmp_path / "gold.tsv"
+    start = DOC_TEXT.index("GRANITE HARBOR BANK, N.A.")
+    gold.write_text(f"doc1.txt\t{start}\t{start + 25}\tGRANITE HARBOR BANK, N.A.\n", encoding="utf-8")
+    labeled = tmp_path / "labeled.tsv"
+    labeled.write_text("GRANITE HARBOR BANK\tGRANITE HARBOR BANK\n", encoding="utf-8")
+    src = str(Path(finames.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STDLIB_PROBE, str(config), str(doc), str(gold), str(labeled), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0, 0, 0, 0], "loaded": []}
+    assert all((tmp_path / name).is_file() for name in ("mentions.tsv", "resolved.tsv", "report.tsv", "pr.csv"))
+
+
 @pytest.mark.parametrize(
     "root, suffix, output",
     [("x.dict", "x.dict", None), ("x.dict", "./x.dict", None), ("x.dict", "d/../x.dict", None),
@@ -740,16 +776,16 @@ SETTING_TEXT = {
 }
 
 
-@pytest.mark.parametrize("key", [f.name for f in fields(PipelineConfig)])
+@pytest.mark.parametrize("key", PipelineConfig._fields)
 def test_config_key_and_flag_give_equal_configs(tmp_path, key):
-    assert set(SETTING_COMMAND) == {f.name for f in fields(PipelineConfig)}
+    assert set(SETTING_COMMAND) == set(PipelineConfig._fields)
     text, value = SETTING_TEXT.get(key, ("some/file.txt", "some/file.txt"))
     config = tmp_path / "pipeline.conf"
     config.write_text(f"{key} = {text}\n", encoding="utf-8")
     parser = cli.build_parser()
     from_file = cli._load_config(parser.parse_args([*SETTING_COMMAND[key], "--config", str(config)]))
     from_flag = cli._load_config(parser.parse_args([*SETTING_COMMAND[key], "--" + key.replace("_", "-"), text]))
-    assert from_file == from_flag == replace(PipelineConfig(), **{key: value}) != PipelineConfig()
+    assert from_file == from_flag == PipelineConfig()._replace(**{key: value}) != PipelineConfig()
 
 
 def _fuzz_workspace(tmp_path, monkeypatch, capsys):
@@ -791,7 +827,7 @@ _GOOD_VALUES = {"threshold": ("0.5", "1e3", "nan", "-inf", "2"), "window": ("3",
 _BAD_VALUES = {"threshold": ("abc", "", "0.5.1", "1,5"), "window": ("1.5", "x", "", "3e1")}
 _UNKNOWN_KEYS = ("windows", "Threshold", "root-dict", "_LIST_KEYS", "config", "output", "sections", "", "x y")
 _SPACE = st.sampled_from(["", " ", "\t"])
-_KEYS = [f.name for f in fields(PipelineConfig)]
+_KEYS = list(PipelineConfig._fields)
 
 
 @st.composite

@@ -251,6 +251,16 @@ def test_pattern_tokens_that_need_a_character_stay_valid():
     assert SuffixPattern("[").matches(("[",))
 
 
+def test_pattern_replace_compiles_and_checks_the_new_fields():
+    pattern = SuffixPattern(r"TRUST \d{4}")._replace(pattern_text=r"SERIES \d{2}-[A-Z0-9]+")
+    assert pattern == SuffixPattern(r"SERIES \d{2}-[A-Z0-9]+")
+    assert pattern.matches(("SERIES", "05-HE3")) and not pattern.matches(("TRUST", "2005"))
+    with pytest.raises(ValueError):
+        pattern._replace(positive_examples=("TRUST 2005",))
+    with pytest.raises(ValueError):
+        pattern._replace(pattern_text=" ")
+
+
 # ---------------------------------------------------------------------------
 # generate_dictionaries
 

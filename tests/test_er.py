@@ -276,6 +276,28 @@ def test_negative_weight_override_rejected():
         ErConfig(weight_overrides={"A": -1.0})
 
 
+def test_replace_validates_like_the_constructor():
+    assert ErConfig()._replace(threshold=0.5) == ErConfig(threshold=0.5)
+    with pytest.raises(ValueError):
+        ErConfig()._replace(threshold=-0.1)
+    with pytest.raises(ValueError):
+        ErConfig()._replace(weight_overrides={"A": math.nan})
+
+
+def test_default_mappings_are_read_only_and_shared():
+    # A default is one object shared by every config, so no caller may change it.
+    config = ErConfig()
+    with pytest.raises(TypeError):
+        config.abbreviations["BOA"] = ("BANK", "AMERICA")
+    with pytest.raises(TypeError):
+        config.weight_overrides["BANK"] = 0.0
+    with pytest.raises(TypeError):
+        er.DEFAULT_ABBREVIATIONS["BOA"] = ("BANK", "AMERICA")
+    assert config.abbreviations is ErConfig().abbreviations is er.DEFAULT_ABBREVIATIONS
+    assert config == ErConfig(abbreviations=dict(er.DEFAULT_ABBREVIATIONS)) == ErConfig(weight_overrides={})
+    assert preprocess("WaMu Bank", config).tokens == ("WASHINGTON", "MUTUAL", "BANK")
+
+
 @pytest.mark.parametrize("weight", [math.inf, 1e308, MAX_WEIGHT * 2])
 def test_weight_override_above_limit_rejected(tmp_path, weight):
     with pytest.raises(ValueError):
