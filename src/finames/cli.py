@@ -12,9 +12,9 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-# ``er`` and ``evaluation`` are imported by the commands that use them, so
-# that build-dicts and extract never load the resolver.
-from . import dict_gen, ner
+# ``ner``, ``er`` and ``evaluation`` are imported by the commands that use
+# them, so build-dicts and extract load no resolver and only extract the matcher.
+from . import dict_gen
 from .dict_gen import BUILTIN_SUFFIX_PATTERNS, RootDictionary, SuffixDictionary, generate_dictionaries
 from .ingest import (
     DEFAULT_HEADER_MARKERS,
@@ -23,7 +23,6 @@ from .ingest import (
     load_document,
     load_name_list,
 )
-from .ner import DEFAULT_ROLE_KEYWORDS, DEFAULT_ROLE_WINDOW
 from .textutil import entry_lines, read_utf8
 
 if TYPE_CHECKING:
@@ -66,8 +65,8 @@ class PipelineConfig(NamedTuple):
     header_markers: tuple[str, ...] = DEFAULT_HEADER_MARKERS
     summary_end_markers: tuple[str, ...] = DEFAULT_SUMMARY_END_MARKERS
     threshold: float | None = None  # None: er.ErConfig's default
-    role_keywords: tuple[str, ...] = tuple(sorted(DEFAULT_ROLE_KEYWORDS))
-    window: int = DEFAULT_ROLE_WINDOW
+    role_keywords: tuple[str, ...] | None = None  # None: ner's default
+    window: int | None = None  # None: ner's default
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -152,6 +151,7 @@ def _parse_sections(value: str) -> set[str]:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    from . import ner
     config = _load_config(args)
     roots = dict_gen.load_root_dictionary(_existing(config.root_dict, "root dictionary"))
     suffixes = dict_gen.load_suffix_dictionary(_existing(config.suffix_dict, "suffix dictionary"))
@@ -174,7 +174,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     extractor = ner.Extractor(roots, SuffixDictionary(literals, patterns), invalid)
     section_config = config.section_config()
     wanted_sections = _parse_sections(args.sections)
-    keywords = frozenset(k.upper() for k in config.role_keywords)
+    window = ner.DEFAULT_ROLE_WINDOW if config.window is None else config.window
 
     skipped: list[str] = []
     mentions: list[ner.Mention] = []
@@ -189,7 +189,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
             continue
         found = extractor.extract(doc)
         if args.role_filter:
-            found = ner.filter_by_role_keyword(found, doc, keywords, config.window)
+            found = ner.filter_by_role_keyword(found, doc, config.role_keywords, window)
         mentions.extend(m for m in found if m.section in wanted_sections)
     mentions.sort(key=lambda m: (m.doc_id, m.start, m.end))
     lines = [f"{m.doc_id}\t{m.start}\t{m.end}\t{m.section}\t{m.surface}" for m in mentions]

@@ -8,15 +8,15 @@ splitting heuristics, applies token filters, and produces deterministic,
 serializable dictionaries for the matcher.
 
 Suffixes with embedded numbering ("TRUST 2006-1", "SERIES 2005-HE3") are
-covered by pattern entries instead of literals. Pattern syntax is a minimal
-token-level class: literal tokens, ``\\d{n}`` for a run of exactly n digits,
-``[A-Z0-9]+`` for an alphanumeric run, and a literal ``-``.
+covered by pattern entries instead of literals: token sequences in a small
+syntax of their own (``_parse``), matched without backtracking.
 """
 from __future__ import annotations
 
 import re
+import sys
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .ingest import MIN_NAME_LENGTH, NameList, NormalizedName, normalize_name, strip_trailing_garbage
 from .textutil import (
@@ -76,26 +76,59 @@ _TRIGRAM_MIN_TOKENS = 5
 
 PATTERN_PREFIX = "re:"
 
-_DIGIT_RUN = re.compile(r"\\d\{(\d+)\}")
-_ALNUM_RUN = "[A-Z0-9]+"
+_ALNUM = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")
+# One element of a pattern token, tried in this order at each offset.
+_ELEMENT = re.compile(r"(\[A-Z0-9\]\+)|\\d\{([0-9]+)\}|(.)", re.DOTALL)
+# Counts reach the largest that ``re`` accepts in ``\d{n}``.
+_MAX_COUNT = 4_294_967_294
+
+_Element = tuple[Callable[[str], bool], int, int]
 
 
-def _translate_pattern_token(token: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(token):
-        if token.startswith(_ALNUM_RUN, i):
-            out.append(_ALNUM_RUN)
-            i += len(_ALNUM_RUN)
-            continue
-        run = _DIGIT_RUN.match(token, i)
-        if run:
-            out.append(r"\d{%s}" % run.group(1))
-            i = run.end()
-            continue
-        out.append(re.escape(token[i]))
-        i += 1
-    return "".join(out)
+def _parse(pattern_text: str) -> tuple[tuple[_Element, ...], ...]:
+    """The elements of each whitespace-separated token, in order. An element
+    is a character test and the fewest and most characters it takes:
+    ``[A-Z0-9]+`` takes one or more of ``_ALNUM``, ``\\d{n}`` exactly n
+    decimal characters, and any other character itself."""
+    parsed = []
+    for token in pattern_text.split():
+        elements: list[_Element] = []
+        for alnum, count, char in _ELEMENT.findall(token):
+            if alnum:
+                elements.append((_ALNUM.__contains__, 1, sys.maxsize))
+            elif char:
+                elements.append((char.__eq__, 1, 1))
+            elif int(count) > _MAX_COUNT:
+                raise ValueError(f"{pattern_text!r}: count {count} in token {token!r} is above {_MAX_COUNT}")
+            elif int(count):  # \d{0} matches only the empty string: no element
+                elements.append((str.isdecimal, int(count), int(count)))
+        if not elements:
+            raise ValueError(f"{pattern_text!r}: token {token!r} can match only an empty token")
+        parsed.append(tuple(elements))
+    if not parsed:
+        raise ValueError("empty suffix pattern")
+    return tuple(parsed)
+
+
+def _token_matches(elements: tuple[_Element, ...], token: str) -> bool:
+    """Whether the elements match all of ``token``. Every offset the elements
+    so far can end at is carried in one set, so no choice is tried twice:
+    each element is one pass over the token at most."""
+    ends = {0}
+    for accepts, fewest, most in elements:
+        reached = set()
+        run = 0  # accepted characters ending at q
+        last = -1  # the largest end at most q + 1 - fewest
+        for q in range(min(ends), min(len(token), max(ends) + most)):
+            run = run + 1 if accepts(token[q]) else 0
+            if q + 1 - fewest in ends:
+                last = q + 1 - fewest
+            if last >= q + 1 - min(run, most):
+                reached.add(q + 1)
+        if not reached:
+            return False
+        ends = reached
+    return len(token) in ends
 
 
 class _SuffixPatternFields(NamedTuple):
@@ -105,24 +138,12 @@ class _SuffixPatternFields(NamedTuple):
 
 class SuffixPattern(_SuffixPatternFields):
     """Token-sequence pattern for suffixes that mix keywords and numbering,
-    compiled once; a bad pattern or a missed positive example raises ValueError.
-    The compiled matchers are not a field: equality and hashing ignore them."""
+    parsed once; a bad pattern or a missed positive example raises ValueError.
+    The parsed elements are not a field: equality and hashing ignore them."""
 
     def __new__(cls, *args: object, **kwargs: object) -> SuffixPattern:
         self = super().__new__(cls, *args, **kwargs)
-        tokens = self.pattern_text.split()
-        if not tokens:
-            raise ValueError("empty suffix pattern")
-        try:
-            matchers = tuple(re.compile(_translate_pattern_token(tok)) for tok in tokens)
-        except (re.error, OverflowError) as exc:
-            raise ValueError(f"{self.pattern_text!r}: {exc}") from None
-        # Every element of the syntax but \d{0} needs a character, so a token
-        # that matches "" matches nothing else, and tokens are never empty.
-        empty = next((tok for tok, m in zip(tokens, matchers) if m.fullmatch("")), None)
-        if empty is not None:
-            raise ValueError(f"{self.pattern_text!r}: token {empty!r} can match only an empty token")
-        self._matchers = matchers
+        self._elements = _parse(self.pattern_text)
         for example in self.positive_examples:
             if not self.matches(name_tokens(example)):
                 raise ValueError(f"pattern {self.pattern_text!r} does not match its example {example!r}")
@@ -130,17 +151,15 @@ class SuffixPattern(_SuffixPatternFields):
 
     @classmethod
     def _make(cls, iterable: Iterable[object]) -> SuffixPattern:
-        """``_replace`` builds through here: the result is compiled and checked too."""
+        """``_replace`` builds through here: the result is parsed and checked too."""
         return cls(*iterable)
 
     @property
     def token_count(self) -> int:
-        return len(self._matchers)
+        return len(self._elements)
 
     def matches(self, tokens: Sequence[str]) -> bool:
-        if len(tokens) != len(self._matchers):
-            return False
-        return all(m.fullmatch(t) for m, t in zip(self._matchers, tokens))
+        return len(tokens) == len(self._elements) and all(map(_token_matches, self._elements, tokens))
 
 
 def _by_pattern_text(patterns: Iterable[SuffixPattern]) -> tuple[SuffixPattern, ...]:

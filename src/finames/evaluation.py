@@ -33,8 +33,6 @@ class LabeledMention(NamedTuple):
     start: int
     end: int
     label: str
-    gold_start: int | None = None
-    gold_end: int | None = None
 
 
 class EvalCounts(NamedTuple):
@@ -83,25 +81,18 @@ def label_mentions(
     mentions: Iterable[tuple[str, int, int]], gold: Sequence[GoldMention]
 ) -> list[LabeledMention]:
     """Classify extracted spans against gold: exact span match is correct, any
-    overlap is partial (recording the last overlapping gold span in input
-    order), no overlap is wrong."""
+    overlap is partial, no overlap is wrong."""
     gold_by_doc = _gold_by_doc(gold)
     labeled = []
     for doc_id, start, end in mentions:
         label = WRO
-        gold_span: tuple[int, int] | None = None
         for g in gold_by_doc.get(doc_id, ()):
             if g.start == start and g.end == end:
                 label = CORRECT
-                gold_span = (g.start, g.end)
                 break
             if _overlaps(start, end, g.start, g.end):
                 label = PAR
-                gold_span = (g.start, g.end)
-        if gold_span is None:
-            labeled.append(LabeledMention(doc_id, start, end, WRO))
-        else:
-            labeled.append(LabeledMention(doc_id, start, end, label, gold_span[0], gold_span[1]))
+        labeled.append(LabeledMention(doc_id, start, end, label))
     return labeled
 
 

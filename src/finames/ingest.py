@@ -1,7 +1,6 @@
 """Loading and normalization of name lists and raw documents."""
 from __future__ import annotations
 
-import logging
 import re
 from functools import cached_property
 from itertools import accumulate
@@ -9,8 +8,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .textutil import TOKEN, TokenSeq, entry_lines, join_tokens, name_tokens, read_utf8
-
-logger = logging.getLogger(__name__)
 
 HEADER = "HEADER"
 SUMMARY = "SUMMARY"
@@ -82,16 +79,7 @@ def name_list_from_strings(raw_names: Iterable[str], source_id: str) -> NameList
 
 def load_name_list(path: str | Path, source_id: str) -> NameList:
     """Load a one-name-per-line UTF-8 file, skipping blank and comment lines."""
-    raw = [line for _, line in entry_lines(path)]
-    result = name_list_from_strings(raw, source_id)
-    if result.dropped_short or result.dropped_duplicates:
-        logger.info(
-            "%s: dropped %d short and %d duplicate names",
-            source_id,
-            result.dropped_short,
-            result.dropped_duplicates,
-        )
-    return result
+    return name_list_from_strings([line for _, line in entry_lines(path)], source_id)
 
 
 def strip_trailing_garbage(name: str) -> str:

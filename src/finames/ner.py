@@ -13,7 +13,7 @@ from __future__ import annotations
 import string
 from bisect import bisect_left
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .dict_gen import RootDictionary, SuffixDictionary
 from .ingest import Document
@@ -138,7 +138,7 @@ def _bare(token_text: str) -> str:
 def filter_by_role_keyword(
     mentions: Sequence[Mention],
     doc: Document,
-    keywords: frozenset[str] | None = None,
+    keywords: Iterable[str] | None = None,
     window: int = DEFAULT_ROLE_WINDOW,
 ) -> list[Mention]:
     """Keep mentions with a role keyword within ``window`` tokens before them.

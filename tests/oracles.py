@@ -124,21 +124,19 @@ def ob_overlaps(a_start: int, a_end: int, b_start: int, b_end: int) -> bool:
 
 
 def ob_label_mentions(mentions: Sequence[tuple[str, int, int]], gold: Sequence) -> list[tuple]:
-    """(doc, start, end, label, gold start, gold end) per mention, comparing
-    with every gold span of every document: an exact span is CORRECT, else
-    the last overlapping gold span in input order makes it PAR, else WRO."""
+    """(doc, start, end, label) per mention, comparing with every gold span
+    of every document: an exact span is CORRECT, else any overlapping gold
+    span makes it PAR, else WRO."""
     labeled = []
     for doc_id, start, end in mentions:
-        label, gold_span = "WRO", (None, None)
-        for g in gold:
-            if g.doc_id != doc_id:
-                continue
-            if (g.start, g.end) == (start, end):
-                label, gold_span = "CORRECT", (g.start, g.end)
-                break
-            if ob_overlaps(start, end, g.start, g.end):
-                label, gold_span = "PAR", (g.start, g.end)
-        labeled.append((doc_id, start, end, label, *gold_span))
+        same_doc = [g for g in gold if g.doc_id == doc_id]
+        if any((g.start, g.end) == (start, end) for g in same_doc):
+            label = "CORRECT"
+        elif any(ob_overlaps(start, end, g.start, g.end) for g in same_doc):
+            label = "PAR"
+        else:
+            label = "WRO"
+        labeled.append((doc_id, start, end, label))
     return labeled
 
 
@@ -218,6 +216,54 @@ def ob_filter_invalid(
         if surface not in invalid and root not in invalid:
             kept.append((start, root_end, end))
     return kept
+
+
+# ---------------------------------------------------------------------------
+# Suffix patterns
+
+
+_ALNUM_RUN = "[A-Z0-9]+"
+_DIGIT_RUN = re.compile(r"\\d\{([0-9]+)\}")
+
+
+def _translate_pattern_token(token: str) -> str:
+    """A pattern token as a backtracking ``re`` pattern: ``[A-Z0-9]+`` and
+    ``\\d{n}`` (n in ASCII digits) as they are, every other character escaped."""
+    out: list[str] = []
+    i = 0
+    while i < len(token):
+        if token.startswith(_ALNUM_RUN, i):
+            out.append(_ALNUM_RUN)
+            i += len(_ALNUM_RUN)
+            continue
+        run = _DIGIT_RUN.match(token, i)
+        if run:
+            out.append(r"\d{%s}" % run.group(1))
+            i = run.end()
+            continue
+        out.append(re.escape(token[i]))
+        i += 1
+    return "".join(out)
+
+
+def ob_pattern_matchers(pattern_text: str) -> list[re.Pattern] | None:
+    """One compiled ``re`` matcher per whitespace-separated token; None when
+    the text is rejected: it has no token, ``re`` cannot compile a token, or
+    a token's matcher takes the empty string."""
+    tokens = pattern_text.split()
+    if not tokens:
+        return None
+    try:
+        matchers = [re.compile(_translate_pattern_token(tok)) for tok in tokens]
+    except (re.error, OverflowError, ValueError):
+        return None
+    if any(m.fullmatch("") for m in matchers):
+        return None
+    return matchers
+
+
+def ob_pattern_matches(matchers: Sequence[re.Pattern], tokens: Tokens) -> bool:
+    return len(tokens) == len(matchers) and all(m.fullmatch(t) for m, t in zip(matchers, tokens))
 
 
 # ---------------------------------------------------------------------------

@@ -601,6 +601,24 @@ def test_bad_pattern_names_file_and_line_exits_2(workspace, capsys, kind, patter
     assert err.count("\n") == 1
 
 
+def test_repeated_alphanumeric_runs_extract_in_linear_time(tmp_path, capsys):
+    # A custom suffix pattern of six [A-Z0-9]+ runs against an 81-character
+    # token that it cannot match: backtracking took seconds here; the exact
+    # output is what is checked.
+    (tmp_path / "root.dict").write_text("WELLS FARGO\n", encoding="utf-8")
+    (tmp_path / "suffix.dict").write_text("BANK\n", encoding="utf-8")
+    custom = tmp_path / "custom.txt"
+    custom.write_text("re:" + "[A-Z0-9]+" * 6 + "\n", encoding="utf-8")
+    long_token = "A" * 80 + "!"
+    doc = tmp_path / "doc.txt"
+    doc.write_text(f"Trustee: Wells Fargo {long_token} will act. Servicer: Wells Fargo {long_token} and others.\n",
+                   encoding="utf-8")
+    args = ["extract", "--root-dict", str(tmp_path / "root.dict"), "--suffix-dict", str(tmp_path / "suffix.dict"),
+            "--custom-suffixes", str(custom), str(doc)]
+    assert main(args) == 0
+    assert capsys.readouterr().out == "doc.txt\t9\t20\tBODY\tWells Fargo\ndoc.txt\t123\t134\tBODY\tWells Fargo\n"
+
+
 def test_build_dicts_with_pattern_file(tmp_path, capsys):
     names = tmp_path / "names.txt"
     names.write_text("MERIDIAN NOTES\n", encoding="utf-8")
@@ -651,7 +669,7 @@ from finames.cli import main
 
 config, doc, labeled = sys.argv[1:]
 codes = [main(["build-dicts", "--config", config]), main(["extract", "--config", config, doc])]
-loaded = sorted(name for name in ("finames.er", "finames.evaluation") if name in sys.modules)
+loaded = sorted(name for name in ("finames.er", "finames.evaluation", "logging") if name in sys.modules)
 import finames
 unresolved = [name for name in finames.__all__ if getattr(finames, name, None) is None]
 try:
@@ -664,8 +682,8 @@ print(json.dumps({"codes": codes, "loaded": loaded, "unresolved": unresolved}))
 
 def test_build_dicts_and_extract_load_no_resolver(workspace):
     # One fresh interpreter: build-dicts and extract import neither er nor
-    # evaluation; the package's names still resolve on first use, and an
-    # unknown variant is still a usage error.
+    # evaluation, nor logging; the package's names still resolve on first
+    # use, and an unknown variant is still a usage error.
     tmp_path, config, doc = workspace
     labeled = tmp_path / "labeled.tsv"
     labeled.write_text("GRANITE HARBOR BANK\tGRANITE HARBOR BANK\n", encoding="utf-8")
@@ -685,37 +703,42 @@ _STDLIB_PROBE = """
 import json, sys
 from finames.cli import main
 
-config, doc, gold, labeled, out = sys.argv[1:]
-mentions = out + "/mentions.tsv"
+config, doc, mentions, gold, labeled, out = sys.argv[1:]
 codes = [
     main(["build-dicts", "--config", config]),
-    main(["extract", "--config", config, "--output", mentions, doc]),
     main(["resolve", "--config", config, "--output", out + "/resolved.tsv", mentions]),
     main(["eval", mentions, gold, "--output", out + "/report.tsv"]),
     main(["pr-curve", "--config", config, "--output", out + "/pr.csv", labeled]),
 ]
-print(json.dumps({"codes": codes, "loaded": sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)}))
+matcher = "finames.ner" in sys.modules
+codes.append(main(["extract", "--config", config, "--output", out + "/extracted.tsv", doc]))
+print(json.dumps({"codes": codes, "matcher": matcher,
+                  "loaded": sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)}))
 """
 
 
 def test_no_command_loads_dataclasses_or_inspect(workspace):
     # One fresh interpreter runs every subcommand: none of them pays for
-    # importing dataclasses (and the inspect module it loads) at start-up.
+    # importing dataclasses (and the inspect module it loads) at start-up,
+    # and only extract loads the matcher.
     tmp_path, config, doc = workspace
-    gold = tmp_path / "gold.tsv"
     start = DOC_TEXT.index("GRANITE HARBOR BANK, N.A.")
+    mentions = tmp_path / "mentions.tsv"
+    mentions.write_text(f"doc1.txt\t{start}\t{start + 25}\tHEADER\tGRANITE HARBOR BANK, N.A.\n", encoding="utf-8")
+    gold = tmp_path / "gold.tsv"
     gold.write_text(f"doc1.txt\t{start}\t{start + 25}\tGRANITE HARBOR BANK, N.A.\n", encoding="utf-8")
     labeled = tmp_path / "labeled.tsv"
     labeled.write_text("GRANITE HARBOR BANK\tGRANITE HARBOR BANK\n", encoding="utf-8")
     src = str(Path(finames.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", _STDLIB_PROBE, str(config), str(doc), str(gold), str(labeled), str(tmp_path)],
+        [sys.executable, "-c", _STDLIB_PROBE, str(config), str(doc), str(mentions), str(gold), str(labeled),
+         str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0, 0, 0, 0], "loaded": []}
-    assert all((tmp_path / name).is_file() for name in ("mentions.tsv", "resolved.tsv", "report.tsv", "pr.csv"))
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0, 0, 0, 0], "matcher": False, "loaded": []}
+    assert all((tmp_path / name).is_file() for name in ("extracted.tsv", "resolved.tsv", "report.tsv", "pr.csv"))
 
 
 @pytest.mark.parametrize(
@@ -862,3 +885,89 @@ def test_fuzz_near_valid_config_through_cli(tmp_path, monkeypatch, capsys, lines
     else:
         # the reader accepts the file; a named dictionary may still be missing
         assert code == 0 or (code == 2 and f"{config}:" not in err)
+
+
+# ---------------------------------------------------------------------------
+# Every file input, fuzzed through all five subcommands
+
+# Tokens that a pattern of several [A-Z0-9]+ runs fails on only after trying
+# every split, if it backtracks.
+_LONG_TOKENS = ("A" * 80 + "!", "1" * 80 + "-", "AB12" * 20 + ".")
+_WORDS = ("Wells", "Fargo", "BANK", "TRUST", "2006-A1", "SERIES", ",", "N.A.", "of", "the", "Servicer:",
+          "SUMMARY", "TABLE", "CONTENTS", "#", "re:", "ß", "ﬁ", "\x00", "\x0b", "\ufeff", "WF") + _LONG_TOKENS
+_PATTERN_PIECE = st.sampled_from(["[A-Z0-9]+", "[A-Z0-9]+", "[A-Z0-9]+", r"\d{2}", r"\d{0}", r"\d{4}",
+                                  r"\d{99999999999}", r"\d{٤}", "-", "A", "1", "[", "{"])
+_PATTERN = st.lists(st.lists(_PATTERN_PIECE, min_size=1, max_size=6).map("".join), max_size=2).map(" ".join)
+_NUMBER = st.sampled_from(["0", "1", "-3", "0.5", "nan", "inf", "1e400", "x", "", "99999999999999999999"])
+_PHRASE = st.lists(st.sampled_from(_WORDS), max_size=5).map(" ".join)
+_TSV_FIELD = st.one_of(_NUMBER, _PHRASE, st.sampled_from(["doc1.txt", "doc2.txt", "-"]))
+
+
+def _lines(line):
+    return st.lists(line, max_size=5).map(lambda lines: "".join(text + "\n" for text in lines))
+
+
+def _tsv(columns):
+    return _lines(st.lists(_TSV_FIELD, min_size=columns - 1, max_size=columns + 1).map("\t".join))
+
+
+# Each file input: its valid text, and near-valid lines for it.
+_FUZZ_INPUTS = {
+    "doc1.txt": ("Servicer: Wells Fargo BANK, N.A. and Wells Fargo TRUST 2006-A1.\n",
+                 st.lists(st.sampled_from(_WORDS + ("\n", ".")), max_size=30).map(" ".join)),
+    "doc2.txt": ("SUMMARY\nTrustee: Wells Fargo " + _LONG_TOKENS[0] + "\nTABLE OF CONTENTS\n", _lines(_PHRASE)),
+    "names.txt": ("WELLS FARGO BANK, N.A.\nWELLS FARGO TRUST 2006-A1\n", _lines(_PHRASE)),
+    "corpus.txt": ("WELLS FARGO BANK\nWELLS FARGO TRUST\n", _lines(_PHRASE)),
+    "root.dict": ("WELLS FARGO\n", _lines(st.one_of(_PHRASE, _PATTERN.map("re:".__add__)))),
+    "suffix.dict": ("BANK\n, N.A.\nre:TRUST \\d{4}-[A-Z0-9]+\n", _lines(st.one_of(_PHRASE, _PATTERN.map("re:".__add__)))),
+    "patterns.txt": ("SERIES \\d{4}-[A-Z0-9]+\tSERIES 2005-HE3\n",
+                     _lines(st.tuples(_PATTERN, _PHRASE).map(lambda p: f"{p[0]}\t{p[1]}" if p[1] else p[0]))),
+    "custom_roots.txt": ("FARGO\n", _lines(_PHRASE)),
+    "custom_suffixes.txt": ("re:" + "[A-Z0-9]+" * 6 + "\n", _lines(st.one_of(_PHRASE, _PATTERN.map("re:".__add__)))),
+    "invalid.txt": ("THE BANK\n", _lines(_PHRASE)),
+    "stop_words.txt": ("THE\nOF\n", _lines(_PHRASE)),
+    "abbreviations.txt": ("WF\tWELLS FARGO\n", _lines(st.tuples(_PHRASE, _PHRASE).map("\t".join))),
+    "weights.txt": ("BANK\t0.5\n", _lines(st.tuples(_PHRASE, _NUMBER).map("\t".join))),
+    "mentions.tsv": ("doc1.txt\t10\t35\tBODY\tWells Fargo BANK, N.A.\n", _tsv(5)),
+    "gold.tsv": ("doc1.txt\t10\t35\tWells Fargo BANK, N.A.\n", _tsv(4)),
+    "labeled.tsv": ("Wells Fargo BANK\tWELLS FARGO BANK\n", _tsv(2)),
+    "pipeline.conf": ("window=5\n", _lines(st.tuples(st.sampled_from(_KEYS), st.one_of(
+        _NUMBER, st.sampled_from(["names.txt", "corpus.txt", "root.dict", "missing.txt", "SERVICER,TRUSTEE"]))
+    ).map("=".join))),
+}
+
+
+@st.composite
+def _fuzzed_files(draw):
+    """The bytes of every file input: most valid, some near-valid or random."""
+    files = {}
+    for name, (valid, near_valid) in _FUZZ_INPUTS.items():
+        kind = draw(st.sampled_from(["valid", "valid", "near_valid", "bytes"]))
+        if kind == "bytes":
+            files[name] = draw(st.binary(max_size=40))
+        else:
+            files[name] = (valid if kind == "valid" else draw(near_valid)).encode("utf-8")
+    return files
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(files=_fuzzed_files(), role_filter=st.booleans())
+def test_fuzz_every_file_input_through_cli(tmp_path, monkeypatch, capsys, files, role_filter):
+    monkeypatch.chdir(tmp_path)
+    for name, data in files.items():
+        Path(name).write_bytes(data)
+    config = ["--config", "pipeline.conf"]
+    resolver = ["--corpus", "corpus.txt", "--stop-words", "stop_words.txt", "--abbreviations",
+                "abbreviations.txt", "--weight-overrides", "weights.txt"]
+    runs = [
+        ["build-dicts", *config, "--name-lists", "names.txt", "--patterns", "patterns.txt", "--output", "built"],
+        ["extract", *config, "--root-dict", "root.dict", "--suffix-dict", "suffix.dict", "--custom-roots",
+         "custom_roots.txt", "--custom-suffixes", "custom_suffixes.txt", "--invalid-elements", "invalid.txt",
+         *(["--role-filter"] if role_filter else []), "--output", "extracted.tsv", "doc1.txt", "doc2.txt"],
+        ["resolve", *config, *resolver, "--output", "resolved.tsv", "mentions.tsv"],
+        ["eval", *config, "mentions.tsv", "gold.tsv", "--output", "report.tsv"],
+        ["pr-curve", *config, *resolver, "--output", "pr.csv", "labeled.tsv"],
+    ]
+    for argv in runs:
+        assert main(argv) in (0, 1, 2), argv
+    capsys.readouterr()

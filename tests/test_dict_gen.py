@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from finames.dict_gen import (
 from finames.ingest import NameList, name_list_from_strings, normalize_name
 from finames.textutil import name_tokens
 
-from oracles import ob_token_entries
+from oracles import ob_pattern_matchers, ob_pattern_matches, ob_token_entries
 
 GOLDEN_NAMES = [
     "SOUTHEAST INVESTMENTS, N.C., INC.",
@@ -249,6 +251,93 @@ def test_pattern_tokens_that_need_a_character_stay_valid():
     # \d{0} alone); any other element needs a character.
     assert SuffixPattern(r"TRUST \d{0}-[A-Z0-9]+", ("TRUST -A1",)).matches(("TRUST", "-A1"))
     assert SuffixPattern("[").matches(("[",))
+
+
+def test_pattern_count_in_non_ascii_digits_is_literal_text():
+    # A count is ASCII digits; "\d{٤}" is five literal characters, not \d
+    # followed by the literal text "{٤}".
+    pattern = SuffixPattern(r"\d{٤}")
+    assert not pattern.matches(("1{٤}",))
+    assert pattern.matches((r"\d{٤}",))
+
+
+def test_repeated_alphanumeric_runs_match_a_long_token():
+    # Backtracking takes seconds on the failing token; the exact answers are
+    # what is checked here.
+    pattern = SuffixPattern("[A-Z0-9]+" * 6)
+    assert not pattern.matches(("A" * 80 + "!",))
+    assert pattern.matches(("A" * 80,))
+    assert not pattern.matches(("A" * 5,))
+
+
+@pytest.mark.parametrize(
+    "text, valid",
+    [(r"\d{4294967294}", True), (r"\d{4294967295}", False), (r"\d{99999999999}", False), (r"\d{0}", False),
+     (r"TRUST \d{0}\d{00}", False), (r"A\d{0}", True), ("[", True), ("", False), (" ", False), (r"\d{٤}", True)],
+)
+def test_pattern_texts_accepted_as_by_the_re_translation(text, valid):
+    assert (ob_pattern_matchers(text) is not None) is valid
+    if valid:
+        SuffixPattern(text)
+    else:
+        with pytest.raises(ValueError):
+            SuffixPattern(text)
+
+
+def test_pattern_matches_as_the_re_translation_on_every_short_token():
+    # Every pattern token of up to three elements against every token of up
+    # to five characters over a few. Here an element often starts from
+    # offsets that lie apart, which random text seldom reaches.
+    elements = ["[A-Z0-9]+", "9", "-", r"\d{1}", r"\d{2}"]
+    texts = ["".join(p) for n in (1, 2, 3) for p in itertools.product(elements, repeat=n)]
+    tokens = [("".join(p),) for n in range(6) for p in itertools.product("A90-", repeat=n)]
+    for text in texts:
+        pattern, matchers = SuffixPattern(text), ob_pattern_matchers(text)
+        assert [pattern.matches(t) for t in tokens] == [ob_pattern_matches(matchers, t) for t in tokens], text
+
+
+# Pieces of pattern text, each with a strategy for text that it (mostly) matches.
+_PATTERN_PIECES = [
+    ("[A-Z0-9]+", st.text("AZ09a-", min_size=1, max_size=3)),
+    (r"\d{0}", st.just("")),
+    (r"\d{1}", st.sampled_from(["0", "7", "٤", "a"])),
+    (r"\d{02}", st.text("09٤", min_size=2, max_size=2)),
+    (r"\d{٤}", st.just(r"\d{٤}")),
+    (r"\d{", st.just(r"\d{")),
+    *((ch, st.just(ch)) for ch in "A9-[]+{}\\d٤"),
+]
+
+
+@st.composite
+def pattern_and_tokens(draw):
+    """A pattern text and tokens: its pieces' sample texts, or random text."""
+    pieces = st.lists(st.sampled_from(_PATTERN_PIECES), min_size=1, max_size=4)
+    token_pieces = draw(st.lists(pieces, max_size=3))
+    text = " ".join("".join(piece for piece, _ in token) for token in token_pieces)
+    tokens = tuple("".join(draw(sample) for _, sample in token) for token in token_pieces)
+    # Random text over a few characters hits the cases where offsets the
+    # elements can end at lie apart.
+    noise = st.lists(st.text("A90٤-", max_size=7), min_size=len(tokens), max_size=len(tokens)).map(tuple)
+    other = st.lists(st.text("AZ09a-[]+{}\\d٤", max_size=6), max_size=3).map(tuple)
+    return text, draw(st.one_of(st.just(tokens), noise, noise, other))
+
+
+@settings(max_examples=500)
+@given(case=pattern_and_tokens())
+@example(case=(r"A\d{0}", ("A",)))
+@example(case=("[", ("[",)))
+@example(case=(r"[A-Z0-9]+\d{2}", ("A123",)))
+@example(case=(r"[A-Z0-9]+9\d{02}", ("A9299",)))
+def test_pattern_matches_as_the_re_translation(case):
+    text, tokens = case
+    matchers = ob_pattern_matchers(text)
+    try:
+        pattern = SuffixPattern(text)
+    except ValueError:
+        assert matchers is None
+        return
+    assert matchers is not None
+    assert pattern.matches(tokens) is ob_pattern_matches(matchers, tokens)
 
 
 def test_pattern_replace_compiles_and_checks_the_new_fields():

@@ -29,8 +29,7 @@ RECORDS = [
     (MatchResult, {"query": QUERY, "entry_id": 2, "entry_name": "WASHINGTON MUTUAL BANK", "score": 1.25,
                    "s_q": 1.5, "s_c": 0.5, "s_b": 0.5}, ("s_b", 0.0)),
     (GoldMention, {"doc_id": "d1.txt", "start": 8, "end": 18, "surface": "Alpha Bank"}, ("surface", "")),
-    (LabeledMention, {"doc_id": "d1.txt", "start": 8, "end": 13, "label": "PAR", "gold_start": 8, "gold_end": 18},
-     ("gold_end", None)),
+    (LabeledMention, {"doc_id": "d1.txt", "start": 8, "end": 13, "label": "PAR"}, ("label", "WRO")),
     (EvalCounts, {"all": 10, "wro": 2, "par": 1, "mis": 3}, ("mis", 4)),
     (MetricReport, {"pre": 0.7, "par_pre": 0.8, "rec": 0.5, "par_rec": None, "f1": 0.25, "par_f1": None},
      ("par_f1", 0.0)),
@@ -99,10 +98,10 @@ def test_section_config_equality_and_hash_ignore_the_compiled_markers():
     assert used == fresh and hash(used) == hash(fresh)
 
 
-def test_suffix_pattern_equality_ignores_the_compiled_matchers():
+def test_suffix_pattern_equality_ignores_the_parsed_elements():
     first = SuffixPattern(r"SERIES \d{4}")
     second = SuffixPattern(r"SERIES \d{4}")
-    assert first._matchers is not second._matchers
+    assert first._elements is not second._elements
     assert first == second and hash(first) == hash(second)
     assert first.matches(("SERIES", "2005")) and second.token_count == 2
     assert first != SuffixPattern(r"SERIES \d{4}", ("SERIES 2005",))
