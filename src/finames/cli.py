@@ -17,8 +17,11 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 from . import dict_gen
 from .dict_gen import BUILTIN_SUFFIX_PATTERNS, RootDictionary, SuffixDictionary, generate_dictionaries
 from .ingest import (
+    BODY,
     DEFAULT_HEADER_MARKERS,
     DEFAULT_SUMMARY_END_MARKERS,
+    HEADER,
+    SUMMARY,
     SectionConfig,
     load_document,
     load_name_list,
@@ -27,7 +30,7 @@ from .textutil import entry_lines, read_utf8
 
 if TYPE_CHECKING:
     from . import er
-SECTION_LABELS = ("HEADER", "SUMMARY", "BODY")
+SECTION_LABELS = (HEADER, SUMMARY, BODY)
 
 
 class CliError(Exception):
@@ -174,7 +177,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
     extractor = ner.Extractor(roots, SuffixDictionary(literals, patterns), invalid)
     section_config = config.section_config()
     wanted_sections = _parse_sections(args.sections)
-    window = ner.DEFAULT_ROLE_WINDOW if config.window is None else config.window
 
     skipped: list[str] = []
     mentions: list[ner.Mention] = []
@@ -189,7 +191,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
             continue
         found = extractor.extract(doc)
         if args.role_filter:
-            found = ner.filter_by_role_keyword(found, doc, config.role_keywords, window)
+            found = ner.filter_by_role_keyword(found, doc, config.role_keywords, config.window)
         mentions.extend(m for m in found if m.section in wanted_sections)
     mentions.sort(key=lambda m: (m.doc_id, m.start, m.end))
     lines = [f"{m.doc_id}\t{m.start}\t{m.end}\t{m.section}\t{m.surface}" for m in mentions]
@@ -275,16 +277,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     report = evaluation.metrics(counts)
-    table = evaluation.render_report(counts, report)
-    print(table)
+    print(evaluation.render_report(counts, report))
     if args.output:
-        header = "all\twro\tpar\tmis\tpre\tpar_pre\trec\tpar_rec\tf1\tpar_f1"
-        row = "\t".join(
-            [str(counts.all), str(counts.wro), str(counts.par), str(counts.mis)]
-            + [evaluation.format_metric(v) for v in (report.pre, report.par_pre, report.rec, report.par_rec)]
-            + [evaluation.format_metric(v, percent=False) for v in (report.f1, report.par_f1)]
-        )
-        _emit(header + "\n" + row + "\n", args.output)
+        names, values = zip(*evaluation._report_columns(counts, report))
+        _emit("\t".join(names) + "\n" + "\t".join(values) + "\n", args.output)
     return 0
 
 

@@ -98,10 +98,12 @@ def _parse(pattern_text: str) -> tuple[tuple[_Element, ...], ...]:
                 elements.append((_ALNUM.__contains__, 1, sys.maxsize))
             elif char:
                 elements.append((char.__eq__, 1, 1))
-            elif int(count) > _MAX_COUNT:
-                raise ValueError(f"{pattern_text!r}: count {count} in token {token!r} is above {_MAX_COUNT}")
-            elif int(count):  # \d{0} matches only the empty string: no element
-                elements.append((str.isdecimal, int(count), int(count)))
+            else:  # by value: int() refuses a string of more than 4300 digits
+                digits = count.lstrip("0")
+                if len(digits) > len(str(_MAX_COUNT)) or int(digits or 0) > _MAX_COUNT:
+                    raise ValueError(f"{pattern_text!r}: count {count} in token {token!r} is above {_MAX_COUNT}")
+                if digits:  # \d{0} matches only the empty string: no element
+                    elements.append((str.isdecimal, int(digits), int(digits)))
         if not elements:
             raise ValueError(f"{pattern_text!r}: token {token!r} can match only an empty token")
         parsed.append(tuple(elements))
@@ -194,10 +196,12 @@ class RootDictionary:
 
 
 class SuffixDictionary:
+    """Literal suffixes and suffix patterns, one pattern per pattern text."""
+
     __slots__ = ("literal_entries", "pattern_entries")
 
-    def __init__(self, literal_entries: frozenset[TokenSeq], pattern_entries: tuple[SuffixPattern, ...] = ()) -> None:
-        self.literal_entries, self.pattern_entries = literal_entries, pattern_entries
+    def __init__(self, literal_entries: frozenset[TokenSeq], pattern_entries: Iterable[SuffixPattern] = ()) -> None:
+        self.literal_entries, self.pattern_entries = literal_entries, _by_pattern_text(pattern_entries)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SuffixDictionary) and (self.literal_entries, self.pattern_entries) == (
@@ -354,11 +358,10 @@ def generate_dictionaries(
             if suffix_part:
                 suffixes.add(suffix_part)
         roots.update(trigram_roots(name))
-    pattern_entries = _by_pattern_text(patterns)
-    literal = {entry for entry in apply_filters(suffixes) if not any(p.matches(entry) for p in pattern_entries)}
+    literal = {entry for entry in apply_filters(suffixes) if not any(p.matches(entry) for p in patterns)}
     return (
         RootDictionary(frozenset(apply_filters(roots))),
-        SuffixDictionary(frozenset(literal), pattern_entries),
+        SuffixDictionary(frozenset(literal), patterns),
     )
 
 
@@ -369,7 +372,7 @@ def save_root_dictionary(dictionary: RootDictionary, path: str | Path) -> None:
 
 def save_suffix_dictionary(dictionary: SuffixDictionary, path: str | Path) -> None:
     lines = sorted(join_tokens(entry) for entry in dictionary.literal_entries)
-    lines += [PATTERN_PREFIX + p.pattern_text for p in _by_pattern_text(dictionary.pattern_entries)]
+    lines += [PATTERN_PREFIX + p.pattern_text for p in dictionary.pattern_entries]
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
@@ -417,7 +420,7 @@ def load_suffix_dictionary(path: str | Path) -> SuffixDictionary:
             tokens = name_tokens(line)
             if tokens:
                 literal.add(tokens)
-    return SuffixDictionary(frozenset(literal), _by_pattern_text(patterns))
+    return SuffixDictionary(frozenset(literal), patterns)
 
 
 def load_suffix_patterns(path: str | Path) -> tuple[SuffixPattern, ...]:

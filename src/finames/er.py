@@ -42,7 +42,7 @@ MAX_WEIGHT = sys.float_info.max / 4
 
 SCORE_VARIANTS = ("idf", "sq", "sqsc", "full")
 
-# Factors (a, b, c) of a score a * b + c, as (s_q, s_c, s_b) for ``score``.
+# Factors (a, b, c) of a score a * b + c, as (s_q, s_c, s_b) for the full score.
 Factors = tuple[float, float, float]
 
 
@@ -177,58 +177,57 @@ def build_corpus(names: NameList, config: ErConfig) -> Corpus:
     )
 
 
-def _ordered_hits(source: Sequence[str], target: Sequence[str]) -> list[int]:
+def _leading_run(source: Sequence[str], target: Sequence[str]) -> range:
     """Indexes of the ``source`` tokens found in ``target`` within the longest
     leading run whose first-match positions in ``target`` keep strictly
-    increasing. The run always takes index 0, so only that one can be absent."""
+    increasing. Only index 0 can be absent, so the run starts at 0 or 1."""
     first: dict[str, int] = {}
     for j, token in enumerate(target):
         first.setdefault(token, j)
-    hits: list[int] = []
-    last = -1
-    for i, token in enumerate(source):
-        position = first.get(token, -1)
-        if i and position <= last:
-            break
-        if position >= 0:
-            hits.append(i)
-        last = position
-    return hits
+    positions = [first.get(token, -1) for token in source]
+    end = 1
+    while end < len(positions) and positions[end] > positions[end - 1]:
+        end += 1
+    return range(0 if positions and positions[0] >= 0 else 1, end)
+
+
+def _weighted_run(q: Sequence[str], weight: Callable[[str], float], run: range) -> float:
+    """``s_q`` over the query positions in ``run``."""
+    # One sum() in index order, as in the definition: since Python 3.12 sum()
+    # of floats is compensated, so a += loop differs from it in the last bits.
+    return sum((0.5**i * weight(q[i]) for i in run), 0.0)
+
+
+@functools.cache
+def _run_share(length: int, start: int, end: int) -> float:
+    """Decayed share of positions ``start..end-1`` among ``length`` positions:
+    ``s_c`` of a candidate over its run, and ``s_b`` of a query over the block
+    where the candidate occurs. Few (length, start, end) triples recur."""
+    return sum(0.5**j for j in range(start, end)) / sum(0.5**j for j in range(length))
 
 
 def score_sq(q: Sequence[str], p: Sequence[str], weight: Callable[[str], float]) -> float:
     """Decayed weighted sum over query tokens found in the candidate."""
-    # One sum() in index order, as in the definition: since Python 3.12 sum()
-    # of floats is compensated, so a += loop differs from it in the last bits.
-    return sum((0.5**i * weight(q[i]) for i in _ordered_hits(q, p)), 0.0)
+    return _weighted_run(q, weight, _leading_run(q, p))
 
 
 def score_sc(q: Sequence[str], p: Sequence[str]) -> float:
     """Decayed fraction of candidate tokens that occur in the query."""
     if not p:
         return 0.0
-    return sum(0.5**j for j in _ordered_hits(p, q)) / sum(0.5**j for j in range(len(p)))
+    run = _leading_run(p, q)
+    return _run_share(len(p), run.start, run.stop)
 
 
 def score_sb(q: Sequence[str], p: Sequence[str]) -> float:
-    """Bonus when the candidate occurs contiguously inside the query."""
-    q_tokens = tuple(q)
-    p_tokens = tuple(p)
-    if not p_tokens or not q_tokens or len(p_tokens) > len(q_tokens):
-        return 0.0
-    start = next(
-        (i for i in range(len(q_tokens) - len(p_tokens) + 1) if q_tokens[i : i + len(p_tokens)] == p_tokens),
-        None,
-    )
-    if start is None:
-        return 0.0
-    numerator = sum(0.5**i for i in range(start, start + len(p_tokens)))
-    denominator = sum(0.5**i for i in range(len(q_tokens)))
-    return numerator / denominator
-
-
-def score(q: Sequence[str], p: Sequence[str], weight: Callable[[str], float]) -> float:
-    return score_sq(q, p, weight) * score_sc(q, p) + score_sb(q, p)
+    """Bonus when the candidate occurs contiguously inside the query, over its
+    first occurrence."""
+    q, p = tuple(q), tuple(p)
+    if p:
+        for start in range(len(q) - len(p) + 1):
+            if q[start : start + len(p)] == p:
+                return _run_share(len(q), start, start + len(p))
+    return 0.0
 
 
 class MatchResult(NamedTuple):
@@ -242,33 +241,27 @@ class MatchResult(NamedTuple):
 
 
 def decayed_gains(query_tokens: Sequence[str], weight: Callable[[str], float]) -> tuple[float, ...]:
-    """Per-position bounds for ``score`` and its ``s_q``-based reductions: what
+    """Per-position bounds for the full score and its reductions: what
     query position ``i`` can add to a candidate holding ``query_tokens[i]``.
     ``s_q`` counts only held positions and ``s_c <= 1``; ``s_b`` counts only
     positions in a block of candidate tokens, each worth ``0.5**i / Σ_k 0.5**k``."""
-    block = 1 / sum(0.5**k for k in range(len(query_tokens)))
+    block = _run_share(len(query_tokens), 0, 1)
     return tuple(0.5**i * (weight(token) + block) for i, token in enumerate(query_tokens))
-
-
-@functools.cache
-def _run_share(length: int, start: int, end: int) -> float:
-    """``s_c`` of a candidate of ``length`` tokens whose run is ``start..end-1``;
-    the cache holds at most ``2 * length`` entries per candidate length."""
-    return sum(0.5**j for j in range(start, end)) / sum(0.5**j for j in range(length))
 
 
 def score_cap(
     query_tokens: Sequence[str], weight: Callable[[str], float], sc: bool = True, sb: bool = True
 ) -> Callable[[Sequence[str]], float]:
-    """Cap of ``score`` against a candidate (of ``s_q * s_c`` without ``sb``,
-    of ``s_q`` alone without ``sc`` either) that skips the order checks.
+    """Cap of ``s_q * s_c + s_b`` against a candidate (of ``s_q * s_c`` without
+    ``sb``, of ``s_q`` alone without ``sc`` either) that skips the order checks.
 
     ``s_q`` counts at most the query's leading run of held positions (0 if
     held, then 1, 2, … up to the first one the candidate lacks), and ``s_c``
     at most the candidate's leading run of tokens the query holds; ``s_b``
     needs every candidate token in the query and counts only held positions.
-    The ``s_q`` part is summed as ``score_sq`` sums it, so where the runs
-    agree it equals the score's exactly, however small the weights. The cap
+    The ``s_q`` and ``s_c`` parts are ``_weighted_run`` and ``_run_share``
+    of the cap's runs, as the scores are of theirs, so where the runs agree
+    the cap equals the score exactly, however small the weights. The cap
     is 0 when the candidate holds neither ``q[0]`` nor ``q[1]`` or the query
     holds neither ``p[0]`` nor ``p[1]``, unless ``sb`` is set and every
     candidate token is in the query."""
@@ -292,7 +285,7 @@ def score_cap(
             rest = mask >> 1
             # The run after position 0 ends before the lowest position not held.
             end = (~rest & (rest + 1)).bit_length()
-            sq_of[mask] = value = sum((0.5**i * weight(q[i]) for i in range(1 - (mask & 1), end)), 0.0)
+            sq_of[mask] = value = _weighted_run(q, weight, range(1 - (mask & 1), end))
         if sc and value:
             j = 1
             while j < len(p) and p[j] in held_at:
@@ -380,11 +373,11 @@ def score_idf(q: Sequence[str], p: Sequence[str], weight: Callable[[str], float]
 def rank(query_tokens: Sequence[str], corpus: Corpus, variant: str = "full") -> tuple[int, float, Factors] | None:
     """(entry id, score, factors) of the best candidate under a scoring variant,
     lowest id on ties; None when the query is empty or shares no token with
-    the corpus. ``full`` is ``score`` with the factors ``(s_q, s_c, s_b)``;
-    ``sqsc`` drops ``s_b`` and ``sq`` keeps ``s_q`` alone. ``idf`` sums the
-    weight of every query position the candidate holds, without decay or
-    order (``score_idf``); its factors are ``(sum, 1.0, 0.0)``, and as it needs
-    no order check its cap is the score."""
+    the corpus. ``full`` scores ``s_q * s_c + s_b`` with the factors
+    ``(s_q, s_c, s_b)``; ``sqsc`` drops ``s_b`` and ``sq`` keeps ``s_q`` alone.
+    ``idf`` sums the weight of every query position the candidate holds,
+    without decay or order (``score_idf``); its factors are ``(sum, 1.0,
+    0.0)``, and as it needs no order check its cap is the score."""
     if variant not in SCORE_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {SCORE_VARIANTS}")
     q = tuple(query_tokens)

@@ -150,16 +150,17 @@ def format_metric(value: float | None, percent: bool = True) -> str:
     return f"{value:.4f}"
 
 
+def _report_columns(c: EvalCounts, report: MetricReport) -> list[tuple[str, str]]:
+    """(name, formatted value) of each report column, in order: the counts,
+    then precision and recall as percentages, then the F1 values."""
+    rates = [(name, format_metric(value, not name.endswith("f1"))) for name, value in zip(report._fields, report)]
+    return [(name, str(value)) for name, value in zip(c._fields, c)] + rates
+
+
 def render_report(c: EvalCounts, report: MetricReport) -> str:
-    lines = [
-        f"ALL {c.all}\tWRO {c.wro}\tPAR {c.par}\tMIS {c.mis}",
-        f"PRE\t{format_metric(report.pre)}",
-        f"PAR_PRE\t{format_metric(report.par_pre)}",
-        f"REC\t{format_metric(report.rec)}",
-        f"PAR_REC\t{format_metric(report.par_rec)}",
-        f"F1\t{format_metric(report.f1, percent=False)}",
-        f"PAR_F1\t{format_metric(report.par_f1, percent=False)}",
-    ]
+    columns = [(name.upper(), value) for name, value in _report_columns(c, report)]
+    lines = ["\t".join(f"{name} {value}" for name, value in columns[: len(c)])]
+    lines += [f"{name}\t{value}" for name, value in columns[len(c) :]]
     return "\n".join(lines)
 
 

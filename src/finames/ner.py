@@ -139,9 +139,10 @@ def filter_by_role_keyword(
     mentions: Sequence[Mention],
     doc: Document,
     keywords: Iterable[str] | None = None,
-    window: int = DEFAULT_ROLE_WINDOW,
+    window: int | None = None,
 ) -> list[Mention]:
-    """Keep mentions with a role keyword within ``window`` tokens before them.
+    """Keep mentions with a role keyword within ``window`` tokens before them;
+    None means ``DEFAULT_ROLE_KEYWORDS`` and ``DEFAULT_ROLE_WINDOW``.
 
     Distance 0 is the token immediately preceding the mention; punctuation
     stuck to the keyword ("Servicers:") is ignored for the comparison.
@@ -149,7 +150,9 @@ def filter_by_role_keyword(
     wanted = {k.upper() for k in (keywords if keywords is not None else DEFAULT_ROLE_KEYWORDS)}
     if not wanted:
         raise ValueError("role keyword set is empty")
-    if window < 0:
+    if window is None:
+        window = DEFAULT_ROLE_WINDOW
+    elif window < 0:
         raise ValueError(f"role window must be >= 0, got {window}")
     texts = tokenize(doc)
     starts = doc.token_bounds[0:-1:2]

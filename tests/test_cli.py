@@ -549,6 +549,32 @@ def test_extract_with_customization_files(workspace, capsys):
     assert surfaces == ["ZEPHYR POINT FUNDING 2007-C1"]
 
 
+def test_extract_keeps_one_suffix_pattern_per_text_with_custom_suffixes(workspace, monkeypatch):
+    # A custom pattern that repeats a dictionary pattern is matched once.
+    from finames import ner
+
+    tmp_path, config, doc = workspace
+    assert run_build(config) == 0
+    custom_suffixes = tmp_path / "custom_suffixes.txt"
+    custom_suffixes.write_text("re:TRUST \\d{4}-[A-Z0-9]+\n", encoding="utf-8")
+    seen = []
+    extractor = ner.Extractor
+
+    def spy(roots, suffixes, *rest):
+        seen.append([p.pattern_text for p in suffixes.pattern_entries])
+        return extractor(roots, suffixes, *rest)
+
+    monkeypatch.setattr(ner, "Extractor", spy)
+    outputs = []
+    for custom in ([], ["--custom-suffixes", str(custom_suffixes)]):
+        out_path = tmp_path / f"mentions{len(custom)}.tsv"
+        assert main(["extract", "--config", str(config), *custom, "--output", str(out_path), str(doc)]) == 0
+        outputs.append(out_path.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert b"MERIDIAN CAPITAL TRUST 2004-B2" in outputs[0]
+    assert seen == [[r"SERIES \d{4}-[A-Z0-9]+", r"TRUST \d{4}-[A-Z0-9]+"]] * 2
+
+
 @pytest.mark.parametrize(
     "flag, entry",
     [("--custom-roots", "ZEPHYR POINT"), ("--custom-suffixes", ", N.A.")],

@@ -261,6 +261,17 @@ def test_pattern_count_in_non_ascii_digits_is_literal_text():
     assert pattern.matches((r"\d{٤}",))
 
 
+def test_pattern_counts_of_thousands_of_digits_are_read_by_value():
+    # int() refuses strings of more than 4300 digits; re cannot parse such
+    # counts either, so the parity test below stops short of them.
+    with pytest.raises(ValueError, match=r"'\\\\d\{9{5000}\}': count 9{5000} in token .* is above 4294967294"):
+        SuffixPattern(r"\d{" + "9" * 5000 + "}")
+    pattern = SuffixPattern(r"\d{" + "0" * 5000 + "1}")
+    assert pattern.matches(("7",))
+    assert not pattern.matches(("77",))
+    assert SuffixPattern(r"\d{" + "0" * 5000 + "4294967294}").token_count == 1
+
+
 def test_repeated_alphanumeric_runs_match_a_long_token():
     # Backtracking takes seconds on the failing token; the exact answers are
     # what is checked here.

@@ -24,7 +24,6 @@ from finames.er import (
     preprocess,
     rank,
     resolve,
-    score,
     score_cap,
     score_idf,
     score_sb,
@@ -209,7 +208,35 @@ def test_components_equal_oracles_exactly(q, p, bases):
     assert score_sq(q, p, weight) == ob_sq(q, p, weight)
     assert score_sc(q, p) == ob_sc(q, p)
     assert score_sb(q, p) == ob_sb(q, p)
-    assert score(q, p, weight) == ob_score(q, p, weight)
+    assert score_sq(q, p, weight) * score_sc(q, p) + score_sb(q, p) == ob_score(q, p, weight)
+
+
+CAP_SYMBOLS = ("A", "B", "C", "D", "E", "F", "G", "H")
+# Zero, the smallest subnormal, tiny, unit, huge and the largest accepted weight.
+CAP_WEIGHTS = st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e300, MAX_WEIGHT]) | st.floats(0.0, MAX_WEIGHT)
+
+
+@settings(max_examples=300)
+@given(
+    q=st.lists(st.sampled_from(CAP_SYMBOLS), min_size=1, max_size=len(CAP_SYMBOLS), unique=True).map(tuple),
+    weights=st.lists(CAP_WEIGHTS, min_size=len(CAP_SYMBOLS), max_size=len(CAP_SYMBOLS)),
+)
+def test_caps_equal_scores_where_the_runs_agree(q, weights):
+    # Against a prefix of a query of distinct tokens, the cap's runs are the
+    # scores' runs, so the cap must be the score itself, not a bound within
+    # best_candidate's 1e-9 margin.
+    weight = dict(zip(CAP_SYMBOLS, weights)).__getitem__
+    caps = {
+        "full": score_cap(q, weight),
+        "sqsc": score_cap(q, weight, sb=False),
+        "sq": score_cap(q, weight, sc=False, sb=False),
+    }
+    for k in range(1, len(q) + 1):
+        p = q[:k]
+        s_q, s_c, s_b = score_sq(q, p, weight), score_sc(q, p), score_sb(q, p)
+        assert caps["full"](p) == s_q * s_c + s_b, k
+        assert caps["sqsc"](p) == s_q * s_c, k
+        assert caps["sq"](p) == s_q, k
 
 
 # ---------------------------------------------------------------------------
