@@ -160,6 +160,13 @@ class SuffixPattern(_SuffixPatternFields):
     def token_count(self) -> int:
         return len(self._elements)
 
+    @property
+    def head(self) -> str | None:
+        """The one token the first pattern token matches, when it is literal
+        text (every element a single character of its own); else None."""
+        chars = [getattr(accepts, "__self__", None) for accepts, _, _ in self._elements[0]]
+        return "".join(chars) if all(isinstance(c, str) for c in chars) else None
+
     def matches(self, tokens: Sequence[str]) -> bool:
         return len(tokens) == len(self._elements) and all(map(_token_matches, self._elements, tokens))
 

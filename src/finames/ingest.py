@@ -1,6 +1,7 @@
 """Loading and normalization of name lists and raw documents."""
 from __future__ import annotations
 
+import os
 import re
 from functools import cached_property
 from itertools import accumulate
@@ -119,15 +120,22 @@ class Document(_DocumentFields):
     def _cut(self) -> tuple[TokenSeq, tuple[int, ...]]:
         # Separator runs and tokens alternate in ``parts``, starting and ending
         # with a (possibly empty) run, so the running lengths are the offsets.
-        parts = TOKEN.split(self.raw_text)
-        return tuple(map(str.upper, parts[1::2])), tuple(accumulate(map(len, parts)))
+        # Uppercasing ASCII text keeps every length, so it is done once.
+        text = self.raw_text
+        if text.isascii():
+            parts = TOKEN.split(text.upper())
+            tokens = tuple(parts[1::2])
+        else:
+            parts = TOKEN.split(text)
+            tokens = tuple(map(str.upper, parts[1::2]))
+        return tokens, tuple(accumulate(map(len, parts)))
 
     @property
     def tokens(self) -> TokenSeq:
         """Uppercased ``TOKEN`` matches of ``raw_text``, cut on first use and kept
-        (not a field: equality and hashing ignore it). Each token is uppercased
-        on its own, so a character such as "ß" that uppercases to two moves no
-        offset in ``token_bounds``."""
+        (not a field: equality and hashing ignore it). Each token of non-ASCII
+        text is uppercased on its own, so a character such as "ß" that
+        uppercases to two moves no offset in ``token_bounds``."""
         return self._cut[0]
 
     @property
@@ -216,4 +224,4 @@ def document_from_text(doc_id: str, text: str, config: SectionConfig | None = No
 def load_document(path: str | Path, section_config: SectionConfig | None = None) -> Document:
     """Document read with ``read_utf8``: a leading byte-order mark is dropped,
     and undecodable bytes raise a ValueError naming the file."""
-    return document_from_text(Path(path).name, read_utf8(path), section_config)
+    return document_from_text(os.path.basename(path), read_utf8(path), section_config)

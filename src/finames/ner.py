@@ -15,7 +15,7 @@ from bisect import bisect_left
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .dict_gen import RootDictionary, SuffixDictionary
+from .dict_gen import RootDictionary, SuffixDictionary, SuffixPattern
 from .ingest import Document
 from .textutil import SEPARATORS, TokenSeq
 
@@ -76,16 +76,25 @@ class Extractor:
         self._suffixes = suffixes.literal_entries
         self._suffix_first_tokens = frozenset(map(itemgetter(0), suffixes.literal_entries))
         self._suffix_longest = max(map(len, suffixes.literal_entries), default=0)
-        self._patterns = suffixes.pattern_entries
+        # A pattern whose first token is literal text is tried only at that
+        # text; every other pattern at each extension step.
+        heads = [(p.head, p) for p in suffixes.pattern_entries]
+        anywhere = tuple(p for head, p in heads if head is None)
+        self._patterns_anywhere = anywhere
+        self._patterns_at: dict[str, tuple[SuffixPattern, ...]] = {}
+        for head, pattern in heads:
+            if head is not None:
+                self._patterns_at[head] = self._patterns_at.get(head, anywhere) + (pattern,)
         self._invalid = invalid
 
     def _extend(self, texts: TokenSeq, pos: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         ranges: list[tuple[int, int]] = []
         while pos < len(texts):
             length = 0
-            if texts[pos] in self._suffix_first_tokens:
+            token = texts[pos]
+            if token in self._suffix_first_tokens:
                 length = _longest_match(self._suffixes, self._suffix_longest, texts, pos)
-            for pattern in self._patterns:
+            for pattern in self._patterns_at.get(token, self._patterns_anywhere):
                 count = pattern.token_count
                 if count > length and pos + count <= len(texts) and pattern.matches(texts[pos : pos + count]):
                     length = count
@@ -121,13 +130,13 @@ def _build_mention(
     start_char = bounds[2 * start]
     end_char = bounds[2 * end - 1]
     return Mention(
-        doc_id=doc.doc_id,
-        start=start_char,
-        end=end_char,
-        surface=SEPARATORS.sub(" ", doc.raw_text[start_char:end_char]),
-        root_end=bounds[2 * root_end - 1],
-        suffix_spans=tuple((bounds[2 * i], bounds[2 * j - 1]) for i, j in suffix_ranges),
-        section=doc.section_at(start_char),
+        doc.doc_id,
+        start_char,
+        end_char,
+        SEPARATORS.sub(" ", doc.raw_text[start_char:end_char]),
+        bounds[2 * root_end - 1],
+        tuple([(bounds[2 * i], bounds[2 * j - 1]) for i, j in suffix_ranges]),
+        doc.section_at(start_char),
     )
 
 

@@ -15,7 +15,11 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 COMMA = ","
-_SEPARATOR = r"\s\x00-\x1f\x7f"
+# The separators spelled out code point by code point: exactly the characters
+# ``str.isspace`` accepts plus U+0000-U+001F and U+007F (a test checks every
+# code point). ``re`` tests such a class by table lookup, where ``\s`` costs a
+# Unicode-category call per character.
+_SEPARATOR = r"\x00-\x20\x7f\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000"
 # One capture group, so that ``TOKEN.split`` keeps the tokens between the
 # separator runs and ``TOKEN.findall`` returns the tokens alone.
 TOKEN = re.compile(rf"([^{_SEPARATOR},]+|,)")
@@ -39,10 +43,12 @@ def join_tokens(tokens: Sequence[str]) -> str:
 
 
 def read_utf8(path: str | Path) -> str:
-    """Whole text of a UTF-8 file without a leading byte-order mark; undecodable
-    bytes raise a ValueError naming the file."""
+    """Whole text of a UTF-8 file without a leading byte-order mark, with every
+    line ending read as "\\n"; undecodable bytes raise a ValueError naming the
+    file."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as file:
+            return file.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 (byte {exc.start}: {exc.reason})") from None
 

@@ -484,6 +484,24 @@ def test_leading_bom_of_document_ignored(workspace, capsys):
     assert extract_to(tmp_path, config, bom, "bom.tsv").read_text(encoding="utf-8") == want
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_offsets_count_a_line_ending_as_one_character(tmp_path, capsys, newline):
+    # Documents are read with universal newlines: "\r\n" and "\r" are one
+    # "\n", so ALPHA stands at 42 in the text read, at 43 in the CRLF file.
+    names = tmp_path / "names.txt"
+    names.write_text("WELLS FARGO BANK\nALPHA BANK, N.A.\n", encoding="utf-8")
+    dicts = ["--root-dict", str(tmp_path / "root.dict"), "--suffix-dict", str(tmp_path / "suffix.dict")]
+    assert main(["build-dicts", "--name-lists", str(names), *dicts]) == 0
+    doc = tmp_path / "doc.txt"
+    doc.write_bytes(f"Servicer: WELLS FARGO BANK{newline}the Trustee is ALPHA BANK, N.A.{newline}".encode())
+    capsys.readouterr()
+    assert main(["extract", *dicts, str(doc)]) == 0
+    assert capsys.readouterr().out == (
+        "doc.txt\t10\t26\tBODY\tWELLS FARGO BANK\n"
+        "doc.txt\t42\t58\tBODY\tALPHA BANK, N.A.\n"
+    )
+
+
 def test_end_to_end_determinism(workspace, capsys):
     tmp_path, config, doc = workspace
     outputs = []

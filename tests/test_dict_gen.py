@@ -246,6 +246,25 @@ def test_pattern_matching_shapes():
     assert not pattern.matches(("TRUST", "2005-HE3"))
 
 
+@pytest.mark.parametrize(
+    "text, head",
+    [
+        (r"TRUST \d{4}-[A-Z0-9]+", "TRUST"),
+        (r"T\d{0}RUST\d{0} X", "TRUST"),
+        ("[", "["),
+        (r"\d{٤}", r"\d{٤}"),
+        (r"[A-Z0-9]+ TRUST", None),
+        (r"TRUST[A-Z0-9]+", None),
+        (r"\d{4}", None),
+    ],
+)
+def test_pattern_head_is_the_literal_text_of_its_first_token(text, head):
+    assert SuffixPattern(text).head == head
+    if head is not None:  # the first token alone matches the head and nothing else
+        first = SuffixPattern(text.split()[0])
+        assert first.matches((head,)) and not first.matches((head + "X",)) and not first.matches((head[1:],))
+
+
 def test_pattern_tokens_that_need_a_character_stay_valid():
     # Only a token that can match nothing but "" is rejected (test_cli covers
     # \d{0} alone); any other element needs a character.

@@ -1,4 +1,6 @@
 import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given
@@ -8,7 +10,7 @@ from finames.dict_gen import RootDictionary, SuffixDictionary, SuffixPattern
 from finames.ingest import document_from_text, name_list_from_strings
 from finames.dict_gen import generate_dictionaries
 from finames.ner import Extractor, filter_by_role_keyword, tokenize
-from finames.textutil import name_tokens
+from finames.textutil import SEPARATORS, TOKEN, name_tokens
 
 from oracles import ob_extract_spans, ob_filter_invalid, ob_tokens
 
@@ -86,6 +88,26 @@ def test_token_rule_equals_character_loop_oracle(text):
     want = ob_tokens(text)
     assert token_triples(doc(text)) == want
     assert list(name_tokens(text)) == [t for t, _, _ in want]
+
+
+# ASCII text is uppercased whole before it is cut; commas, controls and DEL
+# are drawn often.
+@given(st.text(st.characters(max_codepoint=127) | st.sampled_from([",", " ", "\x7f", "\x00", "\x1f", "\t", "a"])))
+@example(",a,,b\x7fc\x1c\x1dd, ")
+def test_ascii_cut_equals_character_loop_oracle(text):
+    d = doc(text)
+    want = ob_tokens(text)
+    assert d.tokens == tuple(t for t, _, _ in want)
+    assert d.token_bounds == (*(offset for _, start, end in want for offset in (start, end)), len(text))
+
+
+def test_separator_class_is_isspace_and_controls_on_every_code_point():
+    # The class is spelled out code point by code point; a Python whose
+    # Unicode data adds or drops a whitespace character fails here.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    want = "".join(c for c in every if c.isspace() or ord(c) < 32 or ord(c) == 127)
+    assert "".join(SEPARATORS.findall(every)) == want
+    assert "".join(TOKEN.split(every)[0::2]) == want
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +349,66 @@ def test_extract_equals_oracle_for_nested_entries_cut_off_at_the_end():
         assert [(m.start, m.root_end, m.end) for m in got] == [
             (tokens[s][1], tokens[r - 1][2], tokens[e - 1][2]) for s, r, e in spans
         ]
+
+
+# Patterns of each kind: literal first tokens (one through ``\d{0}``) and a
+# first token that is not literal text.
+DISPATCH_PATTERNS = [
+    SuffixPattern(r"TRUST \d{4}-[A-Z0-9]+"),
+    SuffixPattern(r"SERIES \d{4}-[A-Z0-9]+"),
+    SuffixPattern(r"[A-Z0-9]+ TRUST"),
+    SuffixPattern(r"SER\d{0}IES [A-Z0-9]+"),
+]
+
+
+def test_extract_equals_oracle_with_patterns_of_every_kind():
+    rng = random.Random(13)
+    alphabet = ["ALPHA", "BETA", "TRUST", "SERIES", "2006-A1", ","]
+    extended = 0
+    for _ in range(300):
+        words = [rng.choice(alphabet) for _ in range(rng.randint(0, 40))]
+        text = "".join(word + rng.choice([" ", "\n"]) for word in words)
+        root_entries = {tuple(rng.choices(alphabet[:2], k=rng.randint(1, 2))) for _ in range(rng.randint(1, 3))}
+        suffix_entries = {tuple(rng.choices(alphabet, k=1)) for _ in range(rng.randint(0, 2))}
+        patterns = rng.sample(DISPATCH_PATTERNS, rng.randint(0, len(DISPATCH_PATTERNS)))
+        d = doc(text)
+        tokens = token_triples(d)
+        spans = ob_extract_spans(tokenize(d), root_entries, suffix_entries, patterns)
+        got = Extractor(
+            RootDictionary(frozenset(root_entries)), SuffixDictionary(frozenset(suffix_entries), patterns)
+        ).extract(d)
+        assert [(m.start, m.root_end, m.end) for m in got] == [
+            (tokens[s][1], tokens[r - 1][2], tokens[e - 1][2]) for s, r, e in spans
+        ]
+        if not suffix_entries:
+            extended += sum(e > r for _, r, e in spans)
+    assert extended >= 20  # the patterns do match
+
+
+def test_literal_head_pattern_is_tried_only_at_its_head(monkeypatch):
+    assert [p.head for p in DISPATCH_PATTERNS] == ["TRUST", "SERIES", None, "SERIES"]
+    calls = []
+    matches = SuffixPattern.matches
+
+    def counted(pattern, tokens):
+        calls.append((pattern.pattern_text, tokens[0]))
+        return matches(pattern, tokens)
+
+    extractor = Extractor(roots_of("ALPHA", "BETA"), suffixes_of(patterns=DISPATCH_PATTERNS))
+    monkeypatch.setattr(SuffixPattern, "matches", counted)
+    d = doc("ALPHA TRUST 2006-A1 BETA SERIES ALPHA BETA ALPHA TRUST ALPHA , SERIES 2005-HE3 BETA 2006-A1")
+    surfaces = [m.surface for m in extractor.extract(d)]
+    assert surfaces == ["ALPHA TRUST 2006-A1", "BETA SERIES ALPHA", "BETA ALPHA TRUST", "ALPHA", "BETA"]
+    # Extension steps stand at TRUST, BETA, SERIES, BETA, ALPHA, ALPHA and ","
+    # (none at the last token: no two-token pattern fits there). The
+    # non-literal pattern is tried at each; a literal-head one only at its
+    # head, so never at the SERIES that follows no root.
+    anywhere = r"[A-Z0-9]+ TRUST"
+    assert Counter(calls) == Counter(
+        [(anywhere, token) for token in ("TRUST", "BETA", "SERIES", "BETA", "ALPHA", "ALPHA", ",")]
+        + [(r"TRUST \d{4}-[A-Z0-9]+", "TRUST"), (r"SERIES \d{4}-[A-Z0-9]+", "SERIES")]
+        + [(r"SER\d{0}IES [A-Z0-9]+", "SERIES")]
+    )
 
 
 # ---------------------------------------------------------------------------
