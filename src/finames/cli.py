@@ -8,6 +8,7 @@ skipped), 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -129,8 +130,21 @@ def cmd_build_dicts(args: argparse.Namespace) -> int:
     roots, suffixes = generate_dictionaries(lists, patterns=tuple(patterns))
     if args.output:
         args.output.mkdir(parents=True, exist_ok=True)
-    dict_gen.save_root_dictionary(roots, root_path)
-    dict_gen.save_suffix_dictionary(suffixes, suffix_path)
+    # Each dictionary is written to a temporary sibling; both are moved into
+    # place only once both are written, so a failed write leaves the old pair.
+    temporary = {path: path.with_name(f"{path.name}.{os.getpid()}.tmp") for path in (root_path, suffix_path)}
+    try:
+        for save, dictionary, path in ((dict_gen.save_root_dictionary, roots, root_path),
+                                       (dict_gen.save_suffix_dictionary, suffixes, suffix_path)):
+            try:
+                save(dictionary, temporary[path])
+            except OSError as exc:  # named by the file it was to become
+                raise OSError(exc.errno, exc.strerror, str(path)) from None
+        for path, written in temporary.items():
+            os.replace(written, path)
+    finally:
+        for written in temporary.values():
+            written.unlink(missing_ok=True)
     for name_list in lists:
         print(
             f"{name_list.source_id}: {len(name_list)} names"
@@ -330,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build_dicts)
 
     p = sub.add_parser("extract", parents=[common], help="extract mentions from documents to TSV")
-    p.add_argument("documents", nargs="*", type=Path)
+    p.add_argument("documents", nargs="*")
     p.add_argument("--sections", default="all", help="'all' or comma-separated labels (header,summary)")
     p.add_argument("--role-filter", action="store_true", help="keep only mentions near a role keyword")
     _add_settings(p, "role_keywords", "window", "root_dict", "suffix_dict", "custom_roots", "custom_suffixes",

@@ -9,7 +9,9 @@ scoring variants.
 """
 from __future__ import annotations
 
-from itertools import groupby
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, groupby
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .er import Corpus, ErConfig, MatchResult, preprocess, rank
@@ -63,15 +65,24 @@ def _overlaps(a_start: int, a_end: int, b_start: int, b_end: int) -> bool:
     return a_start < b_end and b_start < a_end
 
 
+_END = attrgetter("end")
+
+
+def _check_span(doc_id: str, start: int, end: int) -> None:
+    if end <= start:
+        raise ValueError(f"empty or reversed span in {doc_id}: {start}..{end}")
+
+
 def _gold_by_doc(gold: Sequence[GoldMention]) -> dict[str, list[GoldMention]]:
-    """Gold spans grouped by document, each group in input order; overlapping
-    spans within a document raise."""
+    """Gold spans grouped by document, each group sorted by start; an empty or
+    reversed span, or overlapping spans within a document, raise."""
     by_doc: dict[str, list[GoldMention]] = {}
     for g in gold:
+        _check_span(g.doc_id, g.start, g.end)
         by_doc.setdefault(g.doc_id, []).append(g)
     for doc_id, spans in by_doc.items():
-        ordered = sorted(spans, key=lambda g: g.start)
-        for first, second in zip(ordered, ordered[1:]):
+        spans.sort(key=lambda g: g.start)
+        for first, second in zip(spans, spans[1:]):
             if _overlaps(first.start, first.end, second.start, second.end):
                 raise ValueError(f"overlapping gold spans in {doc_id}: {first} / {second}")
     return by_doc
@@ -81,34 +92,45 @@ def label_mentions(
     mentions: Iterable[tuple[str, int, int]], gold: Sequence[GoldMention]
 ) -> list[LabeledMention]:
     """Classify extracted spans against gold: exact span match is correct, any
-    overlap is partial, no overlap is wrong."""
+    overlap is partial, no overlap is wrong. An empty or reversed span raises."""
     gold_by_doc = _gold_by_doc(gold)
     labeled = []
     for doc_id, start, end in mentions:
+        _check_span(doc_id, start, end)
         label = WRO
-        for g in gold_by_doc.get(doc_id, ()):
-            if g.start == start and g.end == end:
-                label = CORRECT
-                break
-            if _overlaps(start, end, g.start, g.end):
-                label = PAR
+        # A document's gold spans are disjoint, so their ends ascend as their
+        # starts do: the first one ending after ``start`` is the only one that
+        # can equal the mention, and overlaps it if any does.
+        spans = gold_by_doc.get(doc_id, ())
+        k = bisect_right(spans, start, key=_END)
+        if k < len(spans) and _overlaps(start, end, spans[k].start, spans[k].end):
+            label = CORRECT if (spans[k].start, spans[k].end) == (start, end) else PAR
         labeled.append(LabeledMention(doc_id, start, end, label))
     return labeled
 
 
 def count(labeled: Sequence[LabeledMention], gold: Sequence[GoldMention]) -> EvalCounts:
-    """Tally ALL/WRO/PAR from labels and MIS from untouched gold mentions."""
-    _gold_by_doc(gold)
+    """Tally ALL/WRO/PAR from labels and MIS from untouched gold mentions. An
+    empty or reversed span raises."""
+    gold_by_doc = _gold_by_doc(gold)
     wro = sum(1 for m in labeled if m.label == WRO)
     par = sum(1 for m in labeled if m.label == PAR)
     spans_by_doc: dict[str, list[tuple[int, int]]] = {}
     for m in labeled:
+        _check_span(m.doc_id, m.start, m.end)
         spans_by_doc.setdefault(m.doc_id, []).append((m.start, m.end))
-    mis = sum(
-        1
-        for g in gold
-        if not any(_overlaps(start, end, g.start, g.end) for start, end in spans_by_doc.get(g.doc_id, ()))
-    )
+    mis = 0
+    for doc_id, golds in gold_by_doc.items():
+        spans = sorted(spans_by_doc.get(doc_id, ()))
+        starts = [start for start, _ in spans]
+        # reach[i]: of the first i + 1 spans by start, the one ending last. A
+        # gold span is touched when, of the spans starting before its end,
+        # that one overlaps it.
+        reach = list(accumulate(spans, lambda a, b: b if b[1] > a[1] else a))
+        for g in golds:
+            k = bisect_left(starts, g.end)
+            if not (k and _overlaps(*reach[k - 1], g.start, g.end)):
+                mis += 1
     return EvalCounts(all=len(labeled), wro=wro, par=par, mis=mis)
 
 

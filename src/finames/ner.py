@@ -5,14 +5,13 @@ leftmost-longest root entry, then repeatedly append the longest literal or
 pattern suffix that follows, then resume scanning after the consumed span.
 Matching is purely token based, so line breaks inside a name do not matter.
 An entry is matched by looking its token slice up in the dictionary's own set,
-at every length from the dictionary's longest entry (or the tokens left, if
-fewer) down to one, and only at a token that starts some entry of it.
+only at a token that starts some entry of it and only at the lengths of the
+entries that token starts (longest first, those that fit in the tokens left).
 """
 from __future__ import annotations
 
 import string
 from bisect import bisect_left
-from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .dict_gen import RootDictionary, SuffixDictionary, SuffixPattern
@@ -47,13 +46,29 @@ class Mention(NamedTuple):
     section: str
 
 
-def _longest_match(entries: frozenset[TokenSeq], longest: int, texts: TokenSeq, start: int) -> int:
+def _length_table(entries: Iterable[TokenSeq]) -> dict[str, int]:
+    """First token -> bit mask of the token lengths of the entries it starts:
+    bit ``n`` is set when some entry of ``n`` tokens starts with it."""
+    table: dict[str, int] = {}
+    for entry in entries:
+        table[entry[0]] = table.get(entry[0], 0) | 1 << len(entry)
+    return table
+
+
+def _longest_match(entries: frozenset[TokenSeq], table: dict[str, int], texts: TokenSeq, start: int) -> int:
     """Token length of the longest entry matching at ``start``; 0 if none. Only
-    lengths that fit in the tokens left are tried: a cut-off slice could equal
-    a shorter entry."""
-    for length in range(min(longest, len(texts) - start), 0, -1):
+    the lengths of the entries ``texts[start]`` starts are tried, and only
+    those that fit in the tokens left: a cut-off slice could equal a shorter
+    entry."""
+    lengths = table.get(texts[start], 0)
+    left = len(texts) - start
+    if lengths >> left > 1:
+        lengths &= (2 << left) - 1
+    while lengths:
+        length = lengths.bit_length() - 1
         if texts[start : start + length] in entries:
             return length
+        lengths ^= 1 << length
     return 0
 
 
@@ -71,11 +86,9 @@ class Extractor:
         invalid: frozenset[TokenSeq] = frozenset(),
     ) -> None:
         self._roots = roots.entries
-        self._first_tokens = frozenset(map(itemgetter(0), roots.entries))
-        self._root_longest = max(map(len, roots.entries), default=0)
+        self._root_lengths = _length_table(roots.entries)
         self._suffixes = suffixes.literal_entries
-        self._suffix_first_tokens = frozenset(map(itemgetter(0), suffixes.literal_entries))
-        self._suffix_longest = max(map(len, suffixes.literal_entries), default=0)
+        self._suffix_lengths = _length_table(suffixes.literal_entries)
         # A pattern whose first token is literal text is tried only at that
         # text; every other pattern at each extension step.
         heads = [(p.head, p) for p in suffixes.pattern_entries]
@@ -90,11 +103,8 @@ class Extractor:
     def _extend(self, texts: TokenSeq, pos: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         ranges: list[tuple[int, int]] = []
         while pos < len(texts):
-            length = 0
-            token = texts[pos]
-            if token in self._suffix_first_tokens:
-                length = _longest_match(self._suffixes, self._suffix_longest, texts, pos)
-            for pattern in self._patterns_at.get(token, self._patterns_anywhere):
+            length = _longest_match(self._suffixes, self._suffix_lengths, texts, pos)
+            for pattern in self._patterns_at.get(texts[pos], self._patterns_anywhere):
                 count = pattern.token_count
                 if count > length and pos + count <= len(texts) and pattern.matches(texts[pos : pos + count]):
                     length = count
@@ -106,13 +116,13 @@ class Extractor:
 
     def extract(self, doc: Document) -> list[Mention]:
         texts = tokenize(doc)
-        first_tokens = self._first_tokens
+        root_lengths = self._root_lengths
         mentions: list[Mention] = []
         pos = 0
-        for start in [i for i, tok in enumerate(texts) if tok in first_tokens]:
+        for start in [i for i, tok in enumerate(texts) if tok in root_lengths]:
             if start < pos:
                 continue
-            root_end = start + _longest_match(self._roots, self._root_longest, texts, start)
+            root_end = start + _longest_match(self._roots, root_lengths, texts, start)
             if root_end == start:
                 continue
             end, suffix_ranges = self._extend(texts, root_end)

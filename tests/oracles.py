@@ -218,6 +218,37 @@ def ob_filter_invalid(
     return kept
 
 
+_ASCII_PUNCTUATION = "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~"
+
+
+def ob_role_filter(
+    text: str, spans: Sequence[tuple[int, int]], keywords: Sequence[str], window: int
+) -> list[tuple[int, int]]:
+    """Token loop: keep the (start, end) character spans with a keyword among
+    the ``window + 1`` tokens of ``ob_tokens(text)`` that start before them,
+    nearest first. A token counts once the ASCII punctuation at its two ends
+    is taken off, one character at a time; keywords compare uppercased."""
+    wanted = [keyword.upper() for keyword in keywords]
+    tokens = ob_tokens(text)
+    kept = []
+    for start, end in spans:
+        before = [token for token, token_start, _ in tokens if token_start < start]
+        distance = 0
+        for token in reversed(before):
+            if distance > window:
+                break
+            chars = list(token)
+            while chars and chars[0] in _ASCII_PUNCTUATION:
+                chars.pop(0)
+            while chars and chars[-1] in _ASCII_PUNCTUATION:
+                chars.pop()
+            if "".join(chars) in wanted:
+                kept.append((start, end))
+                break
+            distance += 1
+    return kept
+
+
 # ---------------------------------------------------------------------------
 # Suffix patterns
 

@@ -178,6 +178,37 @@ def test_extract_undecodable_document_skipped(workspace, capsys):
     assert out_path.read_text(encoding="utf-8") == good.read_text(encoding="utf-8")
 
 
+def test_extract_skip_message_prints_the_path_as_given(workspace, monkeypatch, capsys):
+    tmp_path, config, doc = workspace
+    assert run_build(config) == 0
+    monkeypatch.chdir(tmp_path)
+    Path("docs").mkdir()
+    Path("docs/bad.txt").write_bytes(b"\xff\xfe")
+    capsys.readouterr()
+    code = main(["extract", "--config", str(config), "--output", "m.tsv", "./docs//bad.txt", "./docs//gone.txt"])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(": ", 1)[0] for line in lines] == ["skipped ./docs//bad.txt", "skipped ./docs//gone.txt"]
+    assert lines[0].startswith("skipped ./docs//bad.txt: not UTF-8")
+    assert lines[1].endswith("'./docs//gone.txt'")
+
+
+def test_build_dicts_writes_both_dictionaries_or_neither(workspace, monkeypatch, capsys):
+    tmp_path, config, _ = workspace
+    monkeypatch.chdir(tmp_path)
+    Path("root.dict").write_text("OLD ROOT\n", encoding="utf-8")
+    before = sorted(os.listdir())
+    args = ["build-dicts", "--name-lists", "names.txt", "--root-dict", "root.dict"]
+    assert main(args + ["--suffix-dict", "missing/suffix.dict"]) == 2
+    assert "error: [Errno 2] No such file or directory: 'missing/suffix.dict'" in capsys.readouterr().err
+    assert Path("root.dict").read_text(encoding="utf-8") == "OLD ROOT\n"
+    assert sorted(os.listdir()) == before
+    # With both paths writable, both are replaced and nothing else is left.
+    assert main(args + ["--suffix-dict", "suffix.dict"]) == 0
+    assert Path("root.dict").read_text(encoding="utf-8") != "OLD ROOT\n"
+    assert sorted(os.listdir()) == sorted(before + ["suffix.dict"])
+
+
 @pytest.mark.parametrize("sections", [",", ""])
 def test_extract_no_sections_selected_exits_2(workspace, capsys, sections):
     tmp_path, config, doc = workspace
@@ -944,6 +975,9 @@ _PATTERN_PIECE = st.sampled_from(["[A-Z0-9]+", "[A-Z0-9]+", "[A-Z0-9]+", r"\d{2}
 _PATTERN = st.lists(st.lists(_PATTERN_PIECE, min_size=1, max_size=6).map("".join), max_size=2).map(" ".join)
 _NUMBER = st.sampled_from(["0", "1", "-3", "0.5", "nan", "inf", "1e400", "x", "", "99999999999999999999"])
 _PHRASE = st.lists(st.sampled_from(_WORDS), max_size=5).map(" ".join)
+# Now and then a root line longer than any drawn document.
+_LONG_PHRASE = st.lists(st.sampled_from(_WORDS), min_size=31, max_size=40).map(" ".join)
+_ROOT_LINE = st.one_of(_PHRASE, _PHRASE, _PHRASE, _LONG_PHRASE)
 _TSV_FIELD = st.one_of(_NUMBER, _PHRASE, st.sampled_from(["doc1.txt", "doc2.txt", "-"]))
 
 
@@ -962,11 +996,11 @@ _FUZZ_INPUTS = {
     "doc2.txt": ("SUMMARY\nTrustee: Wells Fargo " + _LONG_TOKENS[0] + "\nTABLE OF CONTENTS\n", _lines(_PHRASE)),
     "names.txt": ("WELLS FARGO BANK, N.A.\nWELLS FARGO TRUST 2006-A1\n", _lines(_PHRASE)),
     "corpus.txt": ("WELLS FARGO BANK\nWELLS FARGO TRUST\n", _lines(_PHRASE)),
-    "root.dict": ("WELLS FARGO\n", _lines(st.one_of(_PHRASE, _PATTERN.map("re:".__add__)))),
+    "root.dict": ("WELLS FARGO\n", _lines(st.one_of(_ROOT_LINE, _PATTERN.map("re:".__add__)))),
     "suffix.dict": ("BANK\n, N.A.\nre:TRUST \\d{4}-[A-Z0-9]+\n", _lines(st.one_of(_PHRASE, _PATTERN.map("re:".__add__)))),
     "patterns.txt": ("SERIES \\d{4}-[A-Z0-9]+\tSERIES 2005-HE3\n",
                      _lines(st.tuples(_PATTERN, _PHRASE).map(lambda p: f"{p[0]}\t{p[1]}" if p[1] else p[0]))),
-    "custom_roots.txt": ("FARGO\n", _lines(_PHRASE)),
+    "custom_roots.txt": ("FARGO\n", _lines(_ROOT_LINE)),
     "custom_suffixes.txt": ("re:" + "[A-Z0-9]+" * 6 + "\n", _lines(st.one_of(_PHRASE, _PATTERN.map("re:".__add__)))),
     "invalid.txt": ("THE BANK\n", _lines(_PHRASE)),
     "stop_words.txt": ("THE\nOF\n", _lines(_PHRASE)),

@@ -127,16 +127,72 @@ def gold_and_mentions(draw):
         picks += [exact, bridge]
     mentions = draw(st.lists(st.one_of(*picks), max_size=20))
     mentions += draw(st.lists(st.sampled_from(mentions), max_size=3)) if mentions else []
+    # Now and then one empty or reversed span, in the gold or the mentions.
+    if draw(st.integers(0, 4)) == 4:
+        doc, start, shortfall = draw(st.sampled_from(DOCS)), draw(st.integers(0, 30)), draw(st.integers(0, 3))
+        if draw(st.booleans()):
+            gold.insert(draw(st.integers(0, len(gold))), GoldMention(doc, start, start - shortfall))
+        else:
+            mentions.insert(draw(st.integers(0, len(mentions))), (doc, start, start - shortfall))
     return gold, mentions
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(case=gold_and_mentions())
+@example(case=([GoldMention("d0", 5, 9), GoldMention("d0", 5, 5)], [("d0", 5, 9), ("d0", 5, 5)]))
 def test_labelling_and_counts_match_all_pairs_oracle(case):
     gold, mentions = case
+    want = [LabeledMention(*row) for row in ob_label_mentions(mentions, gold)]
+    if any(end <= start for _, start, end, *_ in [*gold, *mentions]):
+        with pytest.raises(ValueError, match="empty or reversed span"):
+            label_mentions(mentions, gold)
+        with pytest.raises(ValueError, match="empty or reversed span"):
+            count(want, gold)
+        return
     labeled = label_mentions(mentions, gold)
-    assert labeled == [LabeledMention(*row) for row in ob_label_mentions(mentions, gold)]
+    assert labeled == want
     assert count(labeled, gold) == EvalCounts(*ob_count(labeled, gold))
+
+
+@pytest.mark.parametrize(
+    "mentions, gold, named",
+    [
+        ([("d", 5, 9)], [GoldMention("d", 5, 9), GoldMention("d", 5, 5)], "d: 5..5"),
+        ([("d", 5, 5)], [GoldMention("d", 5, 9)], "d: 5..5"),
+        ([("e", 9, 5)], [GoldMention("d", 5, 9)], "e: 9..5"),
+    ],
+)
+def test_empty_or_reversed_span_is_rejected_by_name(mentions, gold, named):
+    with pytest.raises(ValueError, match=f"empty or reversed span in {named}"):
+        label_mentions(mentions, gold)
+    labeled = [LabeledMention(*m, WRO) for m in mentions]
+    with pytest.raises(ValueError, match=f"empty or reversed span in {named}"):
+        count(labeled, gold)
+
+
+def test_overlap_checks_grow_linearly_with_a_documents_spans(monkeypatch):
+    import finames.evaluation as evaluation
+
+    calls = 0
+    overlaps = evaluation._overlaps
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return overlaps(*args)
+
+    monkeypatch.setattr(evaluation, "_overlaps", counted)
+    for n in (100, 400, 1600):
+        # One document: exact, bridging (two gold spans) and missing-gold cases.
+        gold = [GoldMention("d", 10 * i, 10 * i + 5) for i in range(n)]
+        mentions = [("d", 10 * i, 10 * i + 5) if i % 3 else ("d", 10 * i + 3, 10 * i + 12) for i in range(n // 2)]
+        calls = 0
+        labeled = label_mentions(mentions, gold)
+        counts = count(labeled, gold)
+        # each call's gold order check, one per mention and one per gold span
+        assert calls <= 4 * n
+        if n == 100:
+            assert counts == EvalCounts(*ob_count(labeled, gold))
 
 
 def test_metrics_dict_based_both_row():

@@ -3,16 +3,16 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finames.dict_gen import RootDictionary, SuffixDictionary, SuffixPattern
 from finames.ingest import document_from_text, name_list_from_strings
 from finames.dict_gen import generate_dictionaries
-from finames.ner import Extractor, filter_by_role_keyword, tokenize
+from finames.ner import DEFAULT_ROLE_KEYWORDS, DEFAULT_ROLE_WINDOW, Extractor, filter_by_role_keyword, tokenize
 from finames.textutil import SEPARATORS, TOKEN, name_tokens
 
-from oracles import ob_extract_spans, ob_filter_invalid, ob_tokens
+from oracles import ob_extract_spans, ob_filter_invalid, ob_role_filter, ob_tokens
 
 
 def doc(text, doc_id="d"):
@@ -351,6 +351,74 @@ def test_extract_equals_oracle_for_nested_entries_cut_off_at_the_end():
         ]
 
 
+_CHAIN_WORDS = ("ALPHA", "BETA", "GAMMA", ",")
+
+
+@st.composite
+def entries_beyond_the_document(draw, words):
+    """Short entries plus entries much longer than any drawn document; the
+    long ones continue a short one's first token or a whole short entry."""
+    short = draw(st.lists(st.lists(st.sampled_from(words), min_size=1, max_size=3).map(tuple), max_size=5))
+    long_entries = []
+    for _ in range(draw(st.integers(0, 3))):
+        head = draw(st.sampled_from(short)) if short else ()
+        tail = draw(st.lists(st.sampled_from(words), min_size=1, max_size=4))
+        long_entries.append(head + tuple(tail) * 15)
+    return set(short) | set(long_entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    words=st.lists(st.sampled_from(_CHAIN_WORDS), max_size=16),
+    roots=entries_beyond_the_document(_CHAIN_WORDS[:3]),
+    suffixes=entries_beyond_the_document(_CHAIN_WORDS),
+)
+def test_extract_equals_oracle_with_entries_longer_than_the_document(words, roots, suffixes):
+    d = doc(" ".join(words))
+    tokens = token_triples(d)
+    spans = ob_extract_spans(tokenize(d), roots, suffixes)
+    got = Extractor(RootDictionary(frozenset(roots)), SuffixDictionary(frozenset(suffixes))).extract(d)
+    assert [(m.start, m.root_end, m.end) for m in got] == [
+        (tokens[s][1], tokens[r - 1][2], tokens[e - 1][2]) for s, r, e in spans
+    ]
+
+
+class CountingEntries(frozenset):
+    """An entry set that counts the token slices looked up in it."""
+
+    lookups = 0
+
+    def __contains__(self, item):
+        CountingEntries.lookups += 1
+        return frozenset.__contains__(self, item)
+
+
+def test_entry_under_an_absent_first_token_costs_no_lookup():
+    sentence = "intro THE WELLS FARGO BANK , N.A. and THE GRANITE HARBOR TRUST COMPANY of THE MERIDIAN BANK "
+    roots = ("WELLS FARGO", "THE GRANITE HARBOR", "THE MERIDIAN", "MERIDIAN")
+    suffixes = suffixes_of("BANK", ", N.A.", "TRUST", "TRUST COMPANY")
+    long_tail = " ".join(f"W{i}" for i in range(799))
+
+    def lookups(d, *extra_roots):
+        extractor = Extractor(RootDictionary(CountingEntries(roots_of(*roots, *extra_roots).entries)),
+                              SuffixDictionary(CountingEntries(suffixes.literal_entries)))
+        CountingEntries.lookups = 0
+        surfaces = [m.surface for m in extractor.extract(d)]
+        return CountingEntries.lookups, surfaces
+
+    d = doc(sentence * 3)
+    base = lookups(d)
+    assert base[1] == ["WELLS FARGO BANK , N.A.", "THE GRANITE HARBOR TRUST COMPANY", "THE MERIDIAN BANK"] * 3
+    assert lookups(d, "ZEPHYR " + long_tail) == base
+    # Under a first token the document holds, the 800-token entry is tried
+    # only where it fits: once per such THE, and nowhere in a short document.
+    assert lookups(d, "THE " + long_tail) == base
+    d = doc(sentence * 60)
+    fits = sum(1 for i, token in enumerate(d.tokens) if token == "THE" and len(d.tokens) - i >= 800)
+    base_count, surfaces = lookups(d)
+    assert fits and lookups(d, "THE " + long_tail) == (base_count + fits, surfaces)
+
+
 # Patterns of each kind: literal first tokens (one through ``\d{0}``) and a
 # first token that is not literal text.
 DISPATCH_PATTERNS = [
@@ -456,6 +524,30 @@ def test_role_filter_empty_keywords_rejected():
     d = doc("Sponsor ALPHA")
     with pytest.raises(ValueError):
         filter_by_role_keyword([], d, keywords=frozenset())
+
+
+_ROLE_WORDS = ("Servicer", "servicers:", "(Trustee)", "ISSUER,", "Sponsor", "Depositor;", "trustee", "--",
+               ",", "pad", "x", "ALPHA", "Beta", "gamma", "as")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    words=st.lists(st.sampled_from(_ROLE_WORDS), max_size=30),
+    separators=st.lists(st.sampled_from([" ", "\n", ", ", " :", "\t "]), min_size=1, max_size=5),
+    keywords=st.none() | st.lists(st.sampled_from(["servicer", "TRUSTEE", "Issuer", "as", "alpha", "-", "pad"]),
+                                  min_size=1, max_size=4),
+    window=st.none() | st.integers(0, 12),
+)
+def test_role_filter_equals_token_loop_oracle(words, separators, keywords, window):
+    text = "".join(word + separators[i % len(separators)] for i, word in enumerate(words))
+    d = doc(text)
+    mentions = Extractor(roots_of("ALPHA", "BETA GAMMA", "GAMMA"), suffixes_of()).extract(d)
+    kept = filter_by_role_keyword(mentions, d, keywords, window)
+    want = ob_role_filter(
+        text, [(m.start, m.end) for m in mentions], DEFAULT_ROLE_KEYWORDS if keywords is None else keywords,
+        DEFAULT_ROLE_WINDOW if window is None else window,
+    )
+    assert [(m.start, m.end) for m in kept] == want
 
 
 # ---------------------------------------------------------------------------
