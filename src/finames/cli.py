@@ -194,6 +194,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     skipped: list[str] = []
     mentions: list[ner.Mention] = []
+    read_from: dict[str, str] = {}  # document id -> the path it was read from
     for path in args.documents:
         try:
             doc = load_document(path, section_config)
@@ -203,6 +204,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
         except ValueError as exc:  # undecodable; the message names the file
             skipped.append(str(exc))
             continue
+        if doc.doc_id in read_from:  # its mentions' offsets would index two texts
+            skipped.append(f"{path}: document id {doc.doc_id} already read from {read_from[doc.doc_id]}")
+            continue
+        read_from[doc.doc_id] = path
         found = extractor.extract(doc)
         if args.role_filter:
             found = ner.filter_by_role_keyword(found, doc, config.role_keywords, config.window)
@@ -334,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="key=value config file")
     common.add_argument("--output", type=Path, help="output file (or directory for build-dicts)")
-    resolver = ("corpus", "stop_words", "abbreviations", "weight_overrides", "threshold")
+    resolver = ("corpus", "stop_words", "abbreviations", "weight_overrides")
 
     parser = argparse.ArgumentParser(prog="finames", description="Extract and resolve financial-institution names.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -353,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resolve", parents=[common], help="resolve a mentions TSV against the corpus")
     p.add_argument("mentions", type=Path)
-    _add_settings(p, *resolver)
+    _add_settings(p, *resolver, "threshold")
     p.set_defaults(func=cmd_resolve)
 
     p = sub.add_parser("eval", parents=[common], help="score a mentions TSV against gold annotations")

@@ -22,6 +22,7 @@ from .ingest import MIN_NAME_LENGTH, NameList, NormalizedName, normalize_name, s
 from .textutil import (
     COMMA,
     NON_SPACE_CONTROL,
+    TOKEN,
     TokenSeq,
     entry_lines,
     join_tokens,
@@ -86,12 +87,12 @@ _Element = tuple[Callable[[str], bool], int, int]
 
 
 def _parse(pattern_text: str) -> tuple[tuple[_Element, ...], ...]:
-    """The elements of each whitespace-separated token, in order. An element
+    """The elements of each token, cut by ``TOKEN`` with case kept. An element
     is a character test and the fewest and most characters it takes:
     ``[A-Z0-9]+`` takes one or more of ``_ALNUM``, ``\\d{n}`` exactly n
     decimal characters, and any other character itself."""
     parsed = []
-    for token in pattern_text.split():
+    for token in TOKEN.findall(pattern_text):
         elements: list[_Element] = []
         for alnum, count, char in _ELEMENT.findall(token):
             if alnum:

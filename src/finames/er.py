@@ -24,7 +24,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .ingest import NameList, NormalizedName
-from .textutil import entry_lines
+from .textutil import COMMA, entry_lines, name_tokens
 
 logger = logging.getLogger(__name__)
 
@@ -83,12 +83,11 @@ def _clean_token(token: str) -> str:
     return token if token.isalnum() else "".join(filter(str.isalnum, token))
 
 
-def _tokens(text: str, config: ErConfig) -> tuple[str, ...]:
-    """The query tokens of ``text``, shared by queries and corpus names."""
+def _tokens(name: Iterable[str], config: ErConfig) -> tuple[str, ...]:
+    """The query tokens of a name's ``name_tokens``, shared by queries and corpus names."""
     abbreviations, stop_words = config.abbreviations, config.stop_words
     tokens: list[str] = []
-    for raw in text.upper().split():
-        cleaned = _clean_token(raw)
+    for cleaned in map(_clean_token, name):
         if not cleaned:
             continue
         expansion = abbreviations.get(cleaned)
@@ -101,8 +100,8 @@ def _tokens(text: str, config: ErConfig) -> tuple[str, ...]:
 
 
 def preprocess(mention: str, config: ErConfig) -> Query:
-    """Uppercase, strip punctuation, expand abbreviations, drop stop words."""
-    return Query(mention, _tokens(mention, config))
+    """Tokens as a corpus name's: ``name_tokens``, cleaned, abbreviations expanded, stop words dropped."""
+    return Query(mention, _tokens(name_tokens(mention), config))
 
 
 class Corpus:
@@ -153,10 +152,10 @@ def build_corpus(names: NameList, config: ErConfig) -> Corpus:
         raise ValueError("corpus requires at least one name")
     entry_tokens: list[tuple[str, ...]] = []
     for name in names.names:
-        tokens = _tokens(name.text, config)
+        tokens = _tokens(name.tokens, config)
         if not tokens:
-            fallback = tuple(t for t in (_clean_token(tok) for tok in name.tokens) if t)
-            tokens = fallback or tuple(tok for tok in name.tokens if tok != ",")
+            fallback = tuple(t for t in map(_clean_token, name.tokens) if t)
+            tokens = fallback or tuple(tok for tok in name.tokens if tok != COMMA)
             logger.warning(
                 "corpus name %r empty after preprocessing; keeping its raw tokens, which no query can match",
                 name.text,
@@ -419,9 +418,9 @@ def resolve(mention: str | Query, corpus: Corpus, config: ErConfig) -> MatchResu
 
 
 def _one_token(path: str | Path, number: int, text: str) -> str:
-    """The query token ``text`` stands for; a value that is not one token with
-    a letter or digit could never match one, so it raises naming the line."""
-    words = text.upper().split()
+    """The query token ``text`` stands for; a value that is not one token with a letter
+    or digit, commas aside, could never match one, so it raises naming the line."""
+    words = [word for word in name_tokens(text) if word != COMMA]
     token = _clean_token(words[0]) if len(words) == 1 else ""
     if not token:
         raise ValueError(f"{path}:{number}: expected one token with a letter or digit, got {text.strip()!r}")
@@ -442,7 +441,7 @@ def load_abbreviations(path: str | Path) -> dict[str, tuple[str, ...]]:
         if not sep or not expansion.strip():
             raise ValueError(f"{path}:{number}: expected ABBREV<TAB>EXPANSION")
         key = _one_token(path, number, abbrev)
-        value = tuple(t for t in (_clean_token(tok) for tok in expansion.upper().split()) if t)
+        value = tuple(t for t in map(_clean_token, name_tokens(expansion)) if t)
         if not value:
             raise ValueError(f"{path}:{number}: expansion has no token with a letter or digit: {expansion.strip()!r}")
         mapping[key] = value

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 Tokens = Sequence[str]
 
@@ -278,10 +278,10 @@ def _translate_pattern_token(token: str) -> str:
 
 
 def ob_pattern_matchers(pattern_text: str) -> list[re.Pattern] | None:
-    """One compiled ``re`` matcher per whitespace-separated token; None when
-    the text is rejected: it has no token, ``re`` cannot compile a token, or
-    a token's matcher takes the empty string."""
-    tokens = pattern_text.split()
+    """One compiled ``re`` matcher per ``ob_tokens`` token, case kept; None
+    when the text is rejected: it has no token, ``re`` cannot compile a token,
+    or a token's matcher takes the empty string."""
+    tokens = [pattern_text[start:end] for _, start, end in ob_tokens(pattern_text)]
     if not tokens:
         return None
     try:
@@ -346,6 +346,21 @@ def ob_clean_token(token: str) -> str:
     return "".join(ch for ch in token if ch.isalnum())
 
 
+def ob_query_tokens(text: str, stop_words: Collection[str], abbreviations: Mapping[str, Sequence[str]]) -> Tokens:
+    """Token loop: each ``ob_tokens`` token cleaned by ``ob_clean_token``;
+    one cleaned to nothing is dropped, an abbreviation is replaced by its
+    expansion, and a stop word, in the text or in an expansion, is dropped."""
+    query: list[str] = []
+    for token, _, _ in ob_tokens(text):
+        cleaned = ob_clean_token(token)
+        if not cleaned:
+            continue
+        for word in abbreviations.get(cleaned, (cleaned,)):
+            if word not in stop_words:
+                query.append(word)
+    return tuple(query)
+
+
 def ob_token_entries(path: str | Path) -> frozenset[tuple[str, ...]]:
     """Line loop: the ``ob_tokens`` of every stripped line of a UTF-8 file
     (leading byte-order mark dropped) that is neither blank nor a comment
@@ -377,3 +392,17 @@ def ob_first_marker(text: str, markers: Sequence[str], start: int = 0) -> int:
         if any(pattern.match(text, i) for pattern in patterns):
             return i
     return -1
+
+
+def ob_sections(text: str, header_markers: Sequence[str], end_markers: Sequence[str]) -> list[str]:
+    """The section label of every offset of ``text``: HEADER before the first
+    header marker, SUMMARY from it to the first end marker after its first
+    character, BODY from there on, and BODY everywhere without a header
+    marker."""
+    split = ob_first_marker(text, header_markers)
+    if split < 0:
+        return ["BODY"] * len(text)
+    end = ob_first_marker(text, end_markers, split + 1)
+    if end < 0:
+        end = len(text)
+    return ["HEADER" if i < split else "SUMMARY" if i < end else "BODY" for i in range(len(text))]

@@ -193,6 +193,26 @@ def test_extract_skip_message_prints_the_path_as_given(workspace, monkeypatch, c
     assert lines[1].endswith("'./docs//gone.txt'")
 
 
+def test_extract_skips_a_later_document_with_an_id_already_read(workspace, monkeypatch, capsys):
+    # Both files would be written under the id x.txt, with offsets into two texts.
+    tmp_path, config, doc = workspace
+    assert run_build(config) == 0
+    monkeypatch.chdir(tmp_path)
+    for folder in ("a", "b"):
+        Path(folder).mkdir()
+        Path(folder, "x.txt").write_text(DOC_TEXT, encoding="utf-8")
+    Path("b/y.txt").write_text(DOC_TEXT, encoding="utf-8")
+    capsys.readouterr()
+    code = main(["extract", "--config", str(config), "--output", "m.tsv", "a/x.txt", "b/x.txt", "b/y.txt", "a/x.txt"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "skipped b/x.txt: document id x.txt already read from a/x.txt",
+        "skipped a/x.txt: document id x.txt already read from a/x.txt",
+    ]
+    assert main(["extract", "--config", str(config), "--output", "one.tsv", "a/x.txt", "b/y.txt"]) == 0
+    assert Path("m.tsv").read_text(encoding="utf-8") == Path("one.tsv").read_text(encoding="utf-8")
+
+
 def test_build_dicts_writes_both_dictionaries_or_neither(workspace, monkeypatch, capsys):
     tmp_path, config, _ = workspace
     monkeypatch.chdir(tmp_path)
@@ -376,6 +396,20 @@ def test_pr_curve_no_correct_exits_2(workspace, capsys):
     assert main(["pr-curve", "--config", str(config), str(labeled)]) == 2
 
 
+def test_pr_curve_takes_no_threshold_flag_but_checks_the_config_key(workspace, capsys):
+    # The curve sweeps every threshold; the one config file still serves resolve.
+    tmp_path, config, doc = workspace
+    labeled = tmp_path / "labeled.tsv"
+    labeled.write_text("GRANITE HARBOR BANK\tGRANITE HARBOR BANK\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["pr-curve", str(labeled), "--config", str(config), "--threshold", "0.9"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --threshold 0.9" in capsys.readouterr().err
+    config.write_text(config.read_text(encoding="utf-8") + "threshold = -1\n", encoding="utf-8")
+    assert main(["pr-curve", "--config", str(config), str(labeled)]) == 2
+    assert "error: threshold must be >= 0, got -1.0" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     config = tmp_path / "bad.conf"
     config.write_text("no_such_key=1\n", encoding="utf-8")
@@ -436,6 +470,8 @@ def test_weight_override_above_limit_exits_2(workspace, capsys, value):
     [
         ("--stop-words", "THE\nOF THE\n"),
         ("--stop-words", "THE\n-\n"),
+        ("--stop-words", "THE\nA,B\n"),
+        ("--stop-words", "THE\nA\x01B\n"),
         ("--weight-overrides", "BANK\t1.0\nWELLS FARGO\t2.0\n"),
         ("--weight-overrides", "BANK\t1.0\n&\t3\n"),
         ("--abbreviations", "WaMu\tWashington Mutual\nWELLS FARGO\tWF\n"),
@@ -443,10 +479,10 @@ def test_weight_override_above_limit_exits_2(workspace, capsys, value):
     ],
 )
 def test_token_no_query_can_hold_exits_2(workspace, capsys, flag, text):
-    # Stored as OFTHE, dropped, stored as WELLSFARGO and as '', then an
-    # abbreviation key stored as WELLSFARGO and one dropped: no query token
-    # is any of these, and preprocessing looks abbreviations up one token
-    # at a time.
+    # Stored as OFTHE, dropped, stored as AB twice, as WELLSFARGO and as '',
+    # then an abbreviation key stored as WELLSFARGO and one dropped: no query
+    # token is any of these, and preprocessing looks abbreviations up one
+    # token at a time.
     tmp_path, config, doc = workspace
     mentions = tmp_path / "m.tsv"
     mentions.write_text("doc1.txt\t0\t16\tBODY\tGranite Harbor Bank\n", encoding="utf-8")
@@ -843,7 +879,7 @@ HELP_OPTIONS = {
                 "--threshold"],
     "eval": ["-h", "--config", "--output"],
     "pr-curve": ["-h", "--config", "--output", "--variant", "--corpus", "--stop-words", "--abbreviations",
-                 "--weight-overrides", "--threshold"],
+                 "--weight-overrides"],
 }
 
 
@@ -864,7 +900,7 @@ SETTING_COMMAND = {
     "invalid_elements": ["extract"], "header_markers": ["extract"], "summary_end_markers": ["extract"],
     "role_keywords": ["extract"], "window": ["extract"], "corpus": ["resolve", "m.tsv"],
     "stop_words": ["resolve", "m.tsv"], "abbreviations": ["resolve", "m.tsv"],
-    "weight_overrides": ["resolve", "m.tsv"], "threshold": ["pr-curve", "l.tsv"],
+    "weight_overrides": ["resolve", "m.tsv"], "threshold": ["resolve", "m.tsv"],
 }
 # Text and parsed value of a setting; any other setting takes the text as is.
 SETTING_TEXT = {

@@ -23,7 +23,7 @@ from finames.dict_gen import (
 from finames.ingest import NameList, name_list_from_strings, normalize_name
 from finames.textutil import name_tokens
 
-from oracles import ob_pattern_matchers, ob_pattern_matches, ob_token_entries
+from oracles import ob_pattern_matchers, ob_pattern_matches, ob_token_entries, ob_tokens
 
 GOLDEN_NAMES = [
     "SOUTHEAST INVESTMENTS, N.C., INC.",
@@ -265,6 +265,15 @@ def test_pattern_head_is_the_literal_text_of_its_first_token(text, head):
         assert first.matches((head,)) and not first.matches((head + "X",)) and not first.matches((head[1:],))
 
 
+def test_pattern_text_is_cut_by_the_token_rule():
+    # A comma is a token of its own and a control character separates, as in
+    # the examples and the documents; case is kept, so \d stays a count.
+    pattern = SuffixPattern(r"BANK, SERIES \d{4}", ("BANK, SERIES 2006",))
+    assert pattern.token_count == 4 and pattern.head == "BANK"
+    assert pattern.matches(("BANK", ",", "SERIES", "2006")) and not pattern.matches(("BANK,", "SERIES", "2006"))
+    assert SuffixPattern("TRUST\x01\\d{2},A").matches(("TRUST", "07", ",", "A"))
+
+
 def test_pattern_tokens_that_need_a_character_stay_valid():
     # Only a token that can match nothing but "" is rejected (test_cli covers
     # \d{0} alone); any other element needs a character.
@@ -303,7 +312,8 @@ def test_repeated_alphanumeric_runs_match_a_long_token():
 @pytest.mark.parametrize(
     "text, valid",
     [(r"\d{4294967294}", True), (r"\d{4294967295}", False), (r"\d{99999999999}", False), (r"\d{0}", False),
-     (r"TRUST \d{0}\d{00}", False), (r"A\d{0}", True), ("[", True), ("", False), (" ", False), (r"\d{٤}", True)],
+     (r"TRUST \d{0}\d{00}", False), (r"A\d{0}", True), ("[", True), ("", False), (" ", False), (r"\d{٤}", True),
+     (",", True), (",,", True), ("\x01", False), (r"A,\d{0}", False), ("A\x7f\x00B", True)],
 )
 def test_pattern_texts_accepted_as_by_the_re_translation(text, valid):
     assert (ob_pattern_matchers(text) is not None) is valid
@@ -335,6 +345,9 @@ _PATTERN_PIECES = [
     (r"\d{٤}", st.just(r"\d{٤}")),
     (r"\d{", st.just(r"\d{")),
     *((ch, st.just(ch)) for ch in "A9-[]+{}\\d٤"),
+    # A comma is a token of its own and a control character separates tokens,
+    # in a pattern text as in its sample.
+    *((ch, st.just(ch)) for ch in ",\x01\x7f"),
 ]
 
 
@@ -344,11 +357,12 @@ def pattern_and_tokens(draw):
     pieces = st.lists(st.sampled_from(_PATTERN_PIECES), min_size=1, max_size=4)
     token_pieces = draw(st.lists(pieces, max_size=3))
     text = " ".join("".join(piece for piece, _ in token) for token in token_pieces)
-    tokens = tuple("".join(draw(sample) for _, sample in token) for token in token_pieces)
+    sampled = " ".join("".join(draw(sample) for _, sample in token) for token in token_pieces)
+    tokens = tuple(sampled[start:end] for _, start, end in ob_tokens(sampled))
     # Random text over a few characters hits the cases where offsets the
     # elements can end at lie apart.
-    noise = st.lists(st.text("A90٤-", max_size=7), min_size=len(tokens), max_size=len(tokens)).map(tuple)
-    other = st.lists(st.text("AZ09a-[]+{}\\d٤", max_size=6), max_size=3).map(tuple)
+    noise = st.lists(st.text("A90٤-,", max_size=7), min_size=len(tokens), max_size=len(tokens)).map(tuple)
+    other = st.lists(st.text("AZ09a-[]+{}\\d٤,\x01", max_size=6), max_size=3).map(tuple)
     return text, draw(st.one_of(st.just(tokens), noise, noise, other))
 
 
@@ -358,6 +372,7 @@ def pattern_and_tokens(draw):
 @example(case=("[", ("[",)))
 @example(case=(r"[A-Z0-9]+\d{2}", ("A123",)))
 @example(case=(r"[A-Z0-9]+9\d{02}", ("A9299",)))
+@example(case=(r"BANK, SERIES \d{4}", ("BANK", ",", "SERIES", "2006")))
 def test_pattern_matches_as_the_re_translation(case):
     text, tokens = case
     matchers = ob_pattern_matchers(text)

@@ -32,7 +32,7 @@ from finames.er import (
 )
 from finames.ingest import name_list_from_strings
 
-from oracles import ob_best_match, ob_clean_token, ob_resolve, ob_sb, ob_sc, ob_score, ob_sq
+from oracles import ob_best_match, ob_clean_token, ob_query_tokens, ob_resolve, ob_sb, ob_sc, ob_score, ob_sq
 
 UNIT = lambda token: 1.0  # noqa: E731
 
@@ -63,6 +63,48 @@ def test_preprocess_strips_punctuation_keeps_residual_letters():
 
 def test_preprocess_keeps_digit_tokens():
     assert preprocess("SERIES 2005-HE3", PLAIN).tokens == ("SERIES", "2005HE3")
+
+
+def test_query_is_cut_by_the_token_rule():
+    # A control character and an unspaced comma separate tokens, as in corpus names.
+    corpus = corpus_of("WELLS FARGO BANK", "WELLSFARGO TRUST", config=ErConfig())
+    assert preprocess("Wells\x01Fargo Bank", ErConfig()).tokens == ("WELLS", "FARGO", "BANK")
+    assert best_match("Wells\x01Fargo Bank", corpus, ErConfig()).entry_name == "WELLS FARGO BANK"
+    assert preprocess("BANK,N.A.", PLAIN).tokens == ("BANK", "NA")
+
+
+# Text the token rule and a whitespace split cut apart: control characters
+# that are not whitespace, unspaced commas; besides them a no-break space, a
+# line separator, "ß" (it uppercases to two letters), punctuation, stop
+# words and abbreviations.
+_QUERY_PIECES = st.sampled_from([
+    ",", " ", "\x00", "\x01", "\x1b", "\x7f", "\x0b", "\xa0", "\u2028", "-", ".", "&", "ß",
+    "the", "Co", "WaMu", "Wells", "Fargo", "Bank", "N.A.", "straße",
+]) | st.text(max_size=3)
+_QUERY_TEXTS = st.lists(_QUERY_PIECES, max_size=12).map("".join)
+_QUERY_WORDS = st.sampled_from(["THE", "CO", "BANK", "NA", "STRASSE", "WASHINGTON", "A"])
+_QUERY_CONFIGS = st.builds(
+    lambda stop_words, abbreviations: ErConfig(stop_words=stop_words, abbreviations=abbreviations),
+    stop_words=st.frozensets(_QUERY_WORDS, max_size=3),
+    abbreviations=st.dictionaries(
+        st.sampled_from(["WAMU", "WELLS", "NA", "THE"]), st.lists(_QUERY_WORDS, min_size=1, max_size=3).map(tuple),
+        max_size=3),
+)
+
+
+@given(text=_QUERY_TEXTS, config=_QUERY_CONFIGS)
+@example(text="Wells\x01Fargo BANK,N.A.", config=ErConfig())
+@example(text="THE\xa0WaMu\x7fCo", config=ErConfig())
+def test_preprocess_equals_token_loop_oracle(text, config):
+    assert preprocess(text, config).tokens == ob_query_tokens(text, config.stop_words, config.abbreviations)
+
+
+@given(text=_QUERY_TEXTS, config=_QUERY_CONFIGS)
+def test_a_name_gets_the_same_tokens_in_the_corpus_as_in_a_query(text, config):
+    # The appended word keeps the name in the list and its query non-empty.
+    text += " Granite"
+    names = name_list_from_strings([text], "corpus")
+    assert build_corpus(names, config).tokens == (preprocess(text, config).tokens,)
 
 
 # Punctuation, a combining mark, superscript and fraction digits, a Roman
@@ -546,14 +588,14 @@ def test_resolve_agrees_with_bruteforce(entries, q):
 
 def test_load_stop_words(tmp_path):
     path = tmp_path / "stop.txt"
-    path.write_text("# comment\nthe\nLLC\n", encoding="utf-8")
-    assert load_stop_words(path) == frozenset({"THE", "LLC"})
+    path.write_text("# comment\nthe\nLLC\nINC,\n", encoding="utf-8")
+    assert load_stop_words(path) == frozenset({"THE", "LLC", "INC"})
 
 
 def test_load_abbreviations(tmp_path):
     path = tmp_path / "abbrev.tsv"
-    path.write_text("WaMu\tWashington Mutual\n", encoding="utf-8")
-    assert load_abbreviations(path) == {"WAMU": ("WASHINGTON", "MUTUAL")}
+    path.write_text("WaMu\tWashington Mutual\nWF\tWells,Fargo\x01Bank, N.A.\n", encoding="utf-8")
+    assert load_abbreviations(path) == {"WAMU": ("WASHINGTON", "MUTUAL"), "WF": ("WELLS", "FARGO", "BANK", "NA")}
 
 
 def test_load_abbreviations_rejects_malformed(tmp_path):

@@ -6,6 +6,7 @@ from finames.ingest import (
     BODY,
     HEADER,
     SUMMARY,
+    SectionConfig,
     _Markers,
     document_from_text,
     load_document,
@@ -18,7 +19,7 @@ from finames.ingest import (
 from finames.cli import PipelineConfig
 from finames.textutil import entry_lines, join_tokens, name_tokens
 
-from oracles import ob_first_marker, ob_join_tokens
+from oracles import ob_first_marker, ob_join_tokens, ob_sections
 
 
 def test_load_name_list_case_fold_dedup(tmp_path):
@@ -208,6 +209,32 @@ def test_marker_search_equals_the_position_loop(text, markers, start):
     start = min(start, len(text))
     upper = text.upper() if text.isascii() else None
     assert _Markers(tuple(markers)).first(text, upper, start) == ob_first_marker(text, markers, start)
+
+
+# Case variants of the default markers and parts of them, so that markers
+# overlap, nest or repeat; "ß" and "ﬁ" uppercase to two letters.
+_SECTION_PIECES = st.sampled_from([
+    "SUMMARY", "summary", "Summary", "SUMMARYSUMMARY", "SUMMAR", "TABLE OF CONTENTS", "table of contents",
+    "TABLE", "CONTENTS", "ß", "ﬁ", "ſ", "\u212a", " ", "\n", "x",
+])
+_SECTION_MARKERS = st.lists(st.sampled_from(["SUMMARY", "summary", "MARY", "SUM", "TABLE OF CONTENTS", "TABLE",
+                                             "CONTENTS", "OF", "ß", "SS", "ﬁ", "FI", "K"]), max_size=3)
+
+
+@given(
+    text=st.lists(_SECTION_PIECES | st.text(max_size=2), max_size=10).map("".join),
+    header_markers=_SECTION_MARKERS,
+    end_markers=_SECTION_MARKERS,
+)
+@example(text="ß\nSummary x TABLE OF CONTENTS", header_markers=["SUMMARY"], end_markers=["TABLE OF CONTENTS"])
+@example(text="SUMMARYSUMMARY", header_markers=["SUMMARY"], end_markers=["SUMMARY"])
+@example(text="MARY SUMMARY", header_markers=["SUMMARY", "MARY"], end_markers=["MARY"])
+@example(text="just text", header_markers=[], end_markers=[])
+def test_section_at_equals_the_per_offset_oracle(text, header_markers, end_markers):
+    config = SectionConfig(tuple(header_markers), tuple(end_markers))
+    doc = document_from_text("d", text, config)
+    labels = [doc.section_at(i) for i in range(len(text))]
+    assert labels == ob_sections(text, header_markers, end_markers)
 
 
 def test_section_config_from_file(tmp_path):

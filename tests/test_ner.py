@@ -197,6 +197,14 @@ def test_extend_suffix_pattern_entries():
     assert spans == ((1, 3),)
 
 
+def test_pattern_with_a_comma_token_extends_a_root():
+    pattern = SuffixPattern(r"BANK, SERIES \d{4}", ("BANK, SERIES 2006",))
+    extractor = Extractor(roots_of("ALPHA"), suffixes_of(patterns=[pattern]))
+    [mention] = extractor.extract(doc("Alpha Bank, Series 2006"))
+    assert (mention.start, mention.root_end, mention.end) == (0, 5, 23)
+    assert mention.surface == "Alpha Bank, Series 2006"
+
+
 # ---------------------------------------------------------------------------
 # invalid elements
 
