@@ -158,7 +158,7 @@ def cmd_build_dicts(args: argparse.Namespace) -> int:
 def _parse_sections(value: str) -> set[str]:
     if value.strip().lower() == "all":
         return set(SECTION_LABELS)
-    wanted = {part.strip().upper() for part in value.split(",") if part.strip()}
+    wanted = {part.upper() for part in _csv(value)}
     unknown = wanted - set(SECTION_LABELS)
     if unknown:
         raise CliError(f"unknown sections: {sorted(unknown)}")

@@ -3,10 +3,10 @@ from __future__ import annotations
 
 import os
 import re
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .textutil import TOKEN, TokenSeq, entry_lines, join_tokens, name_tokens, read_utf8
 
@@ -86,7 +86,7 @@ def load_name_list(path: str | Path, source_id: str) -> NameList:
 def strip_trailing_garbage(name: str) -> str:
     """Drop short trailing fragments introduced by '\\\\', '/' or '#'.
 
-    A trailing fragment is junk when it is at most one token of up to four
+    A trailing fragment is junk when it has no ``TOKEN`` or one of up to four
     characters; the rule is applied to a fixpoint so the result is stable
     under re-application.
     """
@@ -97,8 +97,8 @@ def strip_trailing_garbage(name: str) -> str:
         cut = max(current.rfind(d) for d in GARBAGE_DELIMITERS)
         if cut < 0:
             return current
-        tail = current[cut + 1 :].strip()
-        if tail and (len(tail) > _GARBAGE_MAX_CHARS or len(tail.split()) != 1):
+        tail = TOKEN.findall(current, cut + 1)
+        if tail and (len(tail) > 1 or len(tail[0]) > _GARBAGE_MAX_CHARS):
             return current
         current = current[:cut].rstrip()
 
@@ -151,44 +151,18 @@ class Document(_DocumentFields):
         return BODY
 
 
-class _Markers:
-    """Search for the earliest of some marker strings, ignoring case."""
+class SectionConfig(NamedTuple):
+    """Marker strings that delimit the header, summary and body of a filing."""
 
-    def __init__(self, markers: tuple[str, ...]) -> None:
-        self._pattern = re.compile("|".join(map(re.escape, markers)), re.IGNORECASE) if markers else None
-        self._ascii_upper = tuple(m.upper() for m in markers) if all(map(str.isascii, markers)) else None
-
-    def first(self, text: str, upper: str | None, start: int = 0) -> int:
-        """Offset in ``text`` of the earliest marker at or after ``start``; -1
-        if none. ``upper`` is ``text.upper()`` when ``text`` is ASCII, else None.
-        Searching an uppercased copy of other text would shift every offset
-        after a character such as "ß" that uppercases to two."""
-        if self._pattern is None:
-            return -1
-        if upper is not None and self._ascii_upper is not None:
-            return min((i for i in (upper.find(m, start) for m in self._ascii_upper) if i >= 0), default=-1)
-        hit = self._pattern.search(text, start)
-        return hit.start() if hit else -1
-
-
-class _SectionConfigFields(NamedTuple):
     header_markers: tuple[str, ...] = DEFAULT_HEADER_MARKERS
     summary_end_markers: tuple[str, ...] = DEFAULT_SUMMARY_END_MARKERS
 
 
-class SectionConfig(_SectionConfigFields):
-    """Marker strings that delimit the header, summary and body of a filing."""
-
-    @cached_property
-    def _header(self) -> _Markers:
-        return _Markers(tuple(self.header_markers))
-
-    @cached_property
-    def _summary_end(self) -> _Markers:
-        return _Markers(tuple(self.summary_end_markers))
-
-
-_DEFAULT_SECTION_CONFIG = SectionConfig()
+@lru_cache(maxsize=None)
+def _marker_search(markers: tuple[str, ...]) -> Callable[..., re.Match[str] | None]:
+    """``search(text, start=0)`` for the earliest of ``markers``, ignoring
+    case; with no markers it never matches. Compiled once per marker tuple."""
+    return re.compile("|".join(map(re.escape, markers)) if markers else "(?!)", re.IGNORECASE).search
 
 
 def segment_text(text: str, config: SectionConfig | None = None) -> tuple[Section, ...]:
@@ -200,20 +174,20 @@ def segment_text(text: str, config: SectionConfig | None = None) -> tuple[Sectio
     """
     if not text:
         return ()
-    config = config or _DEFAULT_SECTION_CONFIG
-    upper = text.upper() if text.isascii() else None
-    split = config._header.first(text, upper)
-    if split < 0:
+    config = config or SectionConfig()
+    header = _marker_search(tuple(config.header_markers))(text)
+    if header is None:
         return (Section(BODY, 0, len(text)),)
+    split = header.start()
     sections: list[Section] = []
     if split > 0:
         sections.append(Section(HEADER, 0, split))
-    end = config._summary_end.first(text, upper, split + 1)
-    if end < 0:
+    end = _marker_search(tuple(config.summary_end_markers))(text, split + 1)
+    if end is None:
         sections.append(Section(SUMMARY, split, len(text)))
     else:
-        sections.append(Section(SUMMARY, split, end))
-        sections.append(Section(BODY, end, len(text)))
+        sections.append(Section(SUMMARY, split, end.start()))
+        sections.append(Section(BODY, end.start(), len(text)))
     return tuple(sections)
 
 

@@ -6,12 +6,14 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import finames
 from finames import cli
 from finames.cli import CliError, PipelineConfig, main
+
+from oracles import ob_extract_spans, ob_sections, ob_token_entries, ob_tokens
 
 NAMES = [
     "GRANITE HARBOR BANK, N.A.",
@@ -1085,3 +1087,60 @@ def test_fuzz_every_file_input_through_cli(tmp_path, monkeypatch, capsys, files,
     for argv in runs:
         assert main(argv) in (0, 1, 2), argv
     capsys.readouterr()
+
+
+# Pieces of a document: names and parts of names, the default section markers
+# in mixed case, letters that uppercase to two ("ß", "ﬁ"), a line break (each
+# "\n" is written as the drawn line ending) and filler.
+_DOC_PIECES = st.sampled_from([
+    "Alpha Bank", "alpha bank, n.a.", "Granite Harbor", " Trust", ", N.A.", "SUMMARY", "Summary", "sUMMARY",
+    "Prospectus Supplement", "TABLE OF CONTENTS", "table of contents", "Table Of Contents", "ß", "ﬁ", " ", "\n",
+    "x",
+])
+_HEADER_MARKERS = ["SUMMARY", "PROSPECTUS SUPPLEMENT"]
+_END_MARKERS = ["TABLE OF CONTENTS"]
+
+
+def _oracle_rows(doc_id, text, roots, suffixes, wanted):
+    """Mention rows rebuilt from the oracles: ``ob_extract_spans`` over
+    ``ob_tokens``, each labelled by ``ob_sections`` at its first character,
+    its surface the raw tokens with every separator run as one space."""
+    tokens = ob_tokens(text)
+    labels = ob_sections(text, _HEADER_MARKERS, _END_MARKERS)
+    rows = []
+    for first, _, end in ob_extract_spans([t for t, _, _ in tokens], roots, suffixes):
+        start = tokens[first][1]
+        surface = text[start:tokens[first][2]]
+        for (_, _, prev_end), (_, tok_start, tok_end) in zip(tokens[first:end - 1], tokens[first + 1:end]):
+            surface += (" " if tok_start > prev_end else "") + text[tok_start:tok_end]
+        if labels[start] in wanted:
+            rows.append((doc_id, start, tokens[end - 1][2], labels[start], surface))
+    return rows
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    docs=st.lists(st.lists(_DOC_PIECES, max_size=12).map("".join), min_size=1, max_size=3),
+    newline=st.sampled_from(["\n", "\r\n"]),
+)
+@example(docs=["ßsummary Alpha Bank, N.A.\nﬁTable of Contents Granite Harbor Trust", "Alpha Bank Trust"],
+         newline="\r\n")
+def test_extract_sections_equal_the_oracles(tmp_path, docs, newline):
+    root_dict, suffix_dict = tmp_path / "root.dict", tmp_path / "suffix.dict"
+    root_dict.write_text("ALPHA BANK\nGRANITE HARBOR\nALPHA\n", encoding="utf-8")
+    suffix_dict.write_text(", N.A.\nTRUST\n", encoding="utf-8")
+    roots, suffixes = ob_token_entries(root_dict), ob_token_entries(suffix_dict)
+    paths = []
+    for i, text in enumerate(docs):
+        paths.append(tmp_path / f"doc{i}.txt")
+        paths[-1].write_bytes(text.replace("\n", newline).encode("utf-8"))
+    out = tmp_path / "mentions.tsv"
+    for sections, wanted in [("all", {"HEADER", "SUMMARY", "BODY"}), ("summary", {"SUMMARY"}),
+                             ("header,body", {"HEADER", "BODY"})]:
+        argv = ["extract", "--root-dict", str(root_dict), "--suffix-dict", str(suffix_dict), "--sections", sections,
+                "--output", str(out), *map(str, paths)]
+        assert main(argv) == 0
+        got = [tuple(line.split("\t")) for line in out.read_text(encoding="utf-8").splitlines()]
+        want = sorted(row for path, text in zip(paths, docs)
+                      for row in _oracle_rows(path.name, text, roots, suffixes, wanted))
+        assert got == [(d, str(s), str(e), label, surface) for d, s, e, label, surface in want], sections

@@ -7,7 +7,7 @@ from finames.ingest import (
     HEADER,
     SUMMARY,
     SectionConfig,
-    _Markers,
+    _marker_search,
     document_from_text,
     load_document,
     load_name_list,
@@ -131,6 +131,14 @@ def test_strip_trailing_garbage_hash():
     assert strip_trailing_garbage("ACME #A1") == "ACME"
 
 
+def test_strip_trailing_garbage_counts_tokens_by_the_token_rule():
+    # A comma or a control character cuts tokens as a space does.
+    for raw in ("ALPHA BANK /A B", "ALPHA BANK /A\x01B", "ALPHA BANK /A,B"):
+        assert strip_trailing_garbage(raw) == raw
+    assert strip_trailing_garbage("ALPHA BANK /BD\x01") == "ALPHA BANK"
+    assert strip_trailing_garbage("ALPHA BANK /\x01") == "ALPHA BANK"
+
+
 def test_strip_trailing_garbage_keeps_long_tails():
     assert strip_trailing_garbage("AB/CD EF") == "AB/CD EF"
     assert strip_trailing_garbage("I/B/E/S FUNDING") == "I/B/E/S FUNDING"
@@ -204,11 +212,11 @@ _MARKER_CHARS = st.sampled_from(["ß", "ﬁ", "\u212a", "ſ", "İ", "ı", "k", "
 @example(text="ask", markers=["\u212a"], start=0)
 @example(text="STRASSE", markers=["ß"], start=0)
 def test_marker_search_equals_the_position_loop(text, markers, start):
-    # ASCII text is searched with str.find on its uppercase copy, any other
-    # text with the IGNORECASE alternation; both give the oracle's offset.
+    # One IGNORECASE alternation of the markers gives the oracle's offset,
+    # whatever the text's characters.
     start = min(start, len(text))
-    upper = text.upper() if text.isascii() else None
-    assert _Markers(tuple(markers)).first(text, upper, start) == ob_first_marker(text, markers, start)
+    hit = _marker_search(tuple(markers))(text, start)
+    assert (hit.start() if hit else -1) == ob_first_marker(text, markers, start)
 
 
 # Case variants of the default markers and parts of them, so that markers
