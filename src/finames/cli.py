@@ -173,19 +173,18 @@ def cmd_extract(args: argparse.Namespace) -> int:
     roots = dict_gen.load_root_dictionary(_existing(config.root_dict, "root dictionary"))
     suffixes = dict_gen.load_suffix_dictionary(_existing(config.suffix_dict, "suffix dictionary"))
     # Customizations are more entries for the same dictionaries.
-    custom_roots = invalid = frozenset()
-    custom_suffixes = SuffixDictionary(frozenset())
+    custom_roots, custom_suffixes, invalid = RootDictionary(()), SuffixDictionary(frozenset()), frozenset()
     if config.custom_roots:
-        custom_roots = dict_gen.load_token_entries(_existing(config.custom_roots, "custom roots"))
+        custom_roots = dict_gen.load_root_dictionary(_existing(config.custom_roots, "custom roots"))
     if config.custom_suffixes:
         custom_suffixes = dict_gen.load_suffix_dictionary(_existing(config.custom_suffixes, "custom suffixes"))
     if config.invalid_elements:
         invalid = dict_gen.load_token_entries(_existing(config.invalid_elements, "invalid elements"))
-    overlap = invalid & (custom_roots | custom_suffixes.literal_entries)
+    overlap = invalid & (custom_roots.entries | custom_suffixes.literal_entries)
     if overlap:
         raise CliError(f"invalid elements overlap custom dictionaries: {sorted(overlap)}")
-    if custom_roots:  # a union copies every entry
-        roots = RootDictionary(roots.entries | custom_roots)
+    if custom_roots:  # a union of the lines parses no entry
+        roots = RootDictionary.from_lines(sorted({*roots.lines, *custom_roots.lines}))
     literals = suffixes.literal_entries | custom_suffixes.literal_entries
     patterns = suffixes.pattern_entries + custom_suffixes.pattern_entries
     extractor = ner.Extractor(roots, SuffixDictionary(literals, patterns), invalid)

@@ -13,15 +13,16 @@ syntax of their own (``_parse``), matched without backtracking.
 """
 from __future__ import annotations
 
+import operator
 import re
 import sys
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .ingest import MIN_NAME_LENGTH, NameList, NormalizedName, normalize_name, strip_trailing_garbage
 from .textutil import (
     COMMA,
-    NON_SPACE_CONTROL,
     TOKEN,
     TokenSeq,
     entry_lines,
@@ -76,6 +77,7 @@ _SHORT_SUFFIX_CHARS = 3
 _TRIGRAM_MIN_TOKENS = 5
 
 PATTERN_PREFIX = "re:"
+_COMMA_BEFORE_TOKEN = re.compile(r",[^ ,\n]")
 
 _ALNUM = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")
 # One element of a pattern token, tried in this order at each offset.
@@ -185,22 +187,52 @@ BUILTIN_SUFFIX_PATTERNS = (
 
 
 class RootDictionary:
-    __slots__ = ("entries",)
+    """Root entries as their sorted, unique canonical lines (``join_tokens`` of
+    each entry, what ``save_root_dictionary`` writes; ``from_lines`` takes
+    them as they are); ``entries`` is parsed from them on first use."""
 
-    def __init__(self, entries: frozenset[TokenSeq]) -> None:
-        self.entries = entries
+    __slots__ = ("lines", "_entries")
+
+    def __init__(self, entries: Iterable[TokenSeq]) -> None:
+        self._entries = frozenset(entries)
+        self.lines = tuple(sorted(map(join_tokens, self._entries)))
+
+    @classmethod
+    def from_lines(cls, lines: Sequence[str]) -> RootDictionary:
+        self = cls(())
+        self.lines, self._entries = tuple(lines), None
+        return self
+
+    @property
+    def entries(self) -> frozenset[TokenSeq]:
+        if self._entries is None:
+            self._entries = frozenset(map(_line_entry, self.lines))
+        return self._entries
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, RootDictionary) and self.entries == other.entries
+        return isinstance(other, RootDictionary) and self.lines == other.lines
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash(self.lines)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.lines)
 
     def __contains__(self, tokens: object) -> bool:
         return tokens in self.entries
+
+
+def _line_entry(line: str) -> TokenSeq:
+    return tuple(line.replace(COMMA, " , ").split())  # a canonical line's only separator is the space
+
+
+def first_token_entries(lines: Sequence[str], token: str) -> list[TokenSeq]:
+    """The entries among sorted canonical ``lines`` whose first token is
+    ``token``: the line ``token`` itself and the lines that go on from it with
+    a space (up to ``token + "!"``) or with a comma token (up to ``token + "-"``)."""
+    found = lines[bisect_left(lines, token) : bisect_left(lines, token + "!")]
+    found += lines[bisect_left(lines, token + COMMA) : bisect_left(lines, token + "-")]
+    return list(map(_line_entry, found))
 
 
 class SuffixDictionary:
@@ -374,8 +406,7 @@ def generate_dictionaries(
 
 
 def save_root_dictionary(dictionary: RootDictionary, path: str | Path) -> None:
-    lines = sorted(join_tokens(entry) for entry in dictionary.entries)
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    Path(path).write_text("".join(line + "\n" for line in dictionary.lines), encoding="utf-8")
 
 
 def save_suffix_dictionary(dictionary: SuffixDictionary, path: str | Path) -> None:
@@ -384,31 +415,36 @@ def save_suffix_dictionary(dictionary: SuffixDictionary, path: str | Path) -> No
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def load_token_entries(path: str | Path) -> frozenset[TokenSeq]:
-    """Literal entries from a one-entry-per-line file, normalized to tokens.
-
-    A file that is already uppercase and holds no control character other
-    than whitespace (what ``save_root_dictionary`` writes) is cut with
-    ``str.split``: there, ``str.isspace`` and ``TOKEN``'s separators agree,
-    so the entries are those of the per-line path below."""
+def _entry_lines(path: str | Path) -> list[str]:
+    """The sorted, unique canonical lines of the entries of a one-entry-per-line
+    file. A file that is already canonical is kept as its lines: uppercase,
+    printable but for line breaks (so its other separators are spaces), one
+    space between tokens and none before a comma. Any other is cut line by line."""
     text = read_utf8(path)
-    if text.upper() == text and not NON_SPACE_CONTROL.search(text):
-        entries = frozenset(map(tuple, map(str.split, text.replace(COMMA, " , ").splitlines())))
-        if "#" in text or () in entries:  # comment or blank lines
-            entries = frozenset(tokens for tokens in entries if tokens and not tokens[0].startswith("#"))
-        return entries
+    framed = f"\n{text}\n"
+    if (text.upper() == text and text.replace("\n", "").isprintable() and not _COMMA_BEFORE_TOKEN.search(text)
+            and not any(part in framed for part in ("  ", " ,", "\n ", " \n"))):
+        lines = sorted(text.split("\n"))
+        del lines[bisect_left(lines, "#") : bisect_left(lines, "$")]  # comments
+        del lines[: bisect_right(lines, "")]  # blank lines
+        return lines if all(map(operator.lt, lines, lines[1:])) else sorted(set(lines))
     found = set()
     for number, line in text_entry_lines(text):
         if line.startswith(PATTERN_PREFIX):
             raise ValueError(f"{path}:{number}: pattern entry not allowed here: {line!r}")
         tokens = name_tokens(line)
         if tokens:
-            found.add(tokens)
-    return frozenset(found)
+            found.add(join_tokens(tokens))
+    return sorted(found)
+
+
+def load_token_entries(path: str | Path) -> frozenset[TokenSeq]:
+    """Literal entries from a one-entry-per-line file, normalized to tokens."""
+    return frozenset(map(_line_entry, _entry_lines(path)))
 
 
 def load_root_dictionary(path: str | Path) -> RootDictionary:
-    return RootDictionary(load_token_entries(path))
+    return RootDictionary.from_lines(_entry_lines(path))
 
 
 def _pattern_at(path: str | Path, number: int, text: str, examples: tuple[str, ...] = ()) -> SuffixPattern:

@@ -4,9 +4,10 @@ Extraction is a single left-to-right pass over the token stream: find the
 leftmost-longest root entry, then repeatedly append the longest literal or
 pattern suffix that follows, then resume scanning after the consumed span.
 Matching is purely token based, so line breaks inside a name do not matter.
-An entry is matched by looking its token slice up in the dictionary's own set,
-only at a token that starts some entry of it and only at the lengths of the
-entries that token starts (longest first, those that fit in the tokens left).
+An entry is matched by looking its token slice up among the entries its first
+token starts, only at their lengths (longest first, those that fit in the
+tokens left); those entries are parsed from the dictionary's sorted lines when
+a document first holds the token, so extraction parses no other entry.
 """
 from __future__ import annotations
 
@@ -14,9 +15,9 @@ import string
 from bisect import bisect_left
 from typing import Iterable, NamedTuple, Sequence
 
-from .dict_gen import RootDictionary, SuffixDictionary, SuffixPattern
+from .dict_gen import RootDictionary, SuffixDictionary, SuffixPattern, first_token_entries
 from .ingest import Document
-from .textutil import SEPARATORS, TokenSeq
+from .textutil import SEPARATORS, TokenSeq, join_tokens
 
 DEFAULT_ROLE_KEYWORDS = frozenset(
     {"SERVICER", "SERVICERS", "ISSUER", "SPONSOR", "DEPOSITOR", "TRUSTEE", "UNDERWRITER", "ORIGINATOR"}
@@ -46,34 +47,40 @@ class Mention(NamedTuple):
     section: str
 
 
-def _length_table(entries: Iterable[TokenSeq]) -> dict[str, int]:
-    """First token -> bit mask of the token lengths of the entries it starts:
-    bit ``n`` is set when some entry of ``n`` tokens starts with it."""
-    table: dict[str, int] = {}
-    for entry in entries:
-        table[entry[0]] = table.get(entry[0], 0) | 1 << len(entry)
-    return table
+class _Entries:
+    """One dictionary's entries, parsed from its sorted canonical lines per
+    first token on the token's first lookup. ``lengths`` maps a token to a bit
+    mask of the token lengths of the entries it starts (bit ``n`` for ``n``
+    tokens); ``skip`` holds the tokens that start none."""
 
+    def __init__(self, lines: Sequence[str]) -> None:
+        self.lines, self.lengths, self.entries, self.skip = lines, {}, set(), set()
 
-def _longest_match(entries: frozenset[TokenSeq], table: dict[str, int], texts: TokenSeq, start: int) -> int:
-    """Token length of the longest entry matching at ``start``; 0 if none. Only
-    the lengths of the entries ``texts[start]`` starts are tried, and only
-    those that fit in the tokens left: a cut-off slice could equal a shorter
-    entry."""
-    lengths = table.get(texts[start], 0)
-    left = len(texts) - start
-    if lengths >> left > 1:
-        lengths &= (2 << left) - 1
-    while lengths:
-        length = lengths.bit_length() - 1
-        if texts[start : start + length] in entries:
-            return length
-        lengths ^= 1 << length
-    return 0
+    def longest_match(self, texts: TokenSeq, start: int) -> int:
+        """Token length of the longest entry matching at ``start``; 0 if none.
+        Only the lengths of the entries ``texts[start]`` starts are tried, and
+        only those that fit in the tokens left: a cut-off slice could equal a
+        shorter entry."""
+        lengths = self.lengths.get(texts[start])
+        if lengths is None:
+            entries = first_token_entries(self.lines, texts[start])
+            self.entries.update(entries)
+            lengths = self.lengths[texts[start]] = sum({1 << len(entry) for entry in entries})  # one bit per length
+            if not lengths:
+                self.skip.add(texts[start])
+        left = len(texts) - start
+        if lengths >> left > 1:
+            lengths &= (2 << left) - 1
+        while lengths:
+            length = lengths.bit_length() - 1
+            if texts[start : start + length] in self.entries:
+                return length
+            lengths ^= 1 << length
+        return 0
 
 
 class Extractor:
-    """Reusable matcher over the dictionaries' entry sets.
+    """Reusable matcher over the dictionaries' entries.
 
     A match whose whole token sequence, or whose root alone, is in
     ``invalid`` yields no mention; scanning still resumes after it.
@@ -85,10 +92,8 @@ class Extractor:
         suffixes: SuffixDictionary,
         invalid: frozenset[TokenSeq] = frozenset(),
     ) -> None:
-        self._roots = roots.entries
-        self._root_lengths = _length_table(roots.entries)
-        self._suffixes = suffixes.literal_entries
-        self._suffix_lengths = _length_table(suffixes.literal_entries)
+        self._roots = _Entries(roots.lines)
+        self._suffixes = _Entries(sorted(map(join_tokens, suffixes.literal_entries)))
         # A pattern whose first token is literal text is tried only at that
         # text; every other pattern at each extension step.
         heads = [(p.head, p) for p in suffixes.pattern_entries]
@@ -103,7 +108,7 @@ class Extractor:
     def _extend(self, texts: TokenSeq, pos: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         ranges: list[tuple[int, int]] = []
         while pos < len(texts):
-            length = _longest_match(self._suffixes, self._suffix_lengths, texts, pos)
+            length = self._suffixes.longest_match(texts, pos)
             for pattern in self._patterns_at.get(texts[pos], self._patterns_anywhere):
                 count = pattern.token_count
                 if count > length and pos + count <= len(texts) and pattern.matches(texts[pos : pos + count]):
@@ -116,13 +121,14 @@ class Extractor:
 
     def extract(self, doc: Document) -> list[Mention]:
         texts = tokenize(doc)
-        root_lengths = self._root_lengths
+        roots, skip = self._roots, self._roots.skip
         mentions: list[Mention] = []
         pos = 0
-        for start in [i for i, tok in enumerate(texts) if tok in root_lengths]:
-            if start < pos:
+        # A token not looked up yet is a candidate: the lookup learns whether it starts a root.
+        for start in [i for i, tok in enumerate(texts) if tok not in skip]:
+            if start < pos or texts[start] in skip:
                 continue
-            root_end = start + _longest_match(self._roots, root_lengths, texts, start)
+            root_end = start + roots.longest_match(texts, start)
             if root_end == start:
                 continue
             end, suffix_ranges = self._extend(texts, root_end)
@@ -139,11 +145,12 @@ def _build_mention(
     bounds = doc.token_bounds
     start_char = bounds[2 * start]
     end_char = bounds[2 * end - 1]
+    surface = doc.raw_text[start_char:end_char]  # only the space is a printable separator
     return Mention(
         doc.doc_id,
         start_char,
         end_char,
-        SEPARATORS.sub(" ", doc.raw_text[start_char:end_char]),
+        surface if surface.isprintable() and "  " not in surface else SEPARATORS.sub(" ", surface),
         bounds[2 * root_end - 1],
         tuple([(bounds[2 * i], bounds[2 * j - 1]) for i, j in suffix_ranges]),
         doc.section_at(start_char),

@@ -24,8 +24,6 @@ _SEPARATOR = r"\x00-\x20\x7f\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\
 # separator runs and ``TOKEN.findall`` returns the tokens alone.
 TOKEN = re.compile(rf"([^{_SEPARATOR},]+|,)")
 SEPARATORS = re.compile(rf"[{_SEPARATOR}]+")
-# The separators ``str.isspace`` rejects; without them ``str.split`` cuts as ``TOKEN`` does.
-NON_SPACE_CONTROL = re.compile(r"[\x00-\x08\x0e-\x1b\x7f]")
 
 TokenSeq = tuple[str, ...]
 

@@ -1144,3 +1144,62 @@ def test_extract_sections_equal_the_oracles(tmp_path, docs, newline):
         want = sorted(row for path, text in zip(paths, docs)
                       for row in _oracle_rows(path.name, text, roots, suffixes, wanted))
         assert got == [(d, str(s), str(e), label, surface) for d, s, e, label, surface in want], sections
+
+
+# Root lines over the document's words, with case, tab, comma and comment
+# variants; written as drawn or in canonical form (each line as join_tokens
+# gives it, unsorted, blank, comment and repeated lines kept).
+_ROOT_PIECES = st.sampled_from(["ALPHA", "alpha", "BANK", "Bank", "GRANITE", "HARBOR", "TRUST", ",", " ", "\t", "#"])
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    root_lines=st.lists(st.lists(_ROOT_PIECES, max_size=5).map("".join), max_size=8),
+    custom_lines=st.lists(st.lists(_ROOT_PIECES, max_size=5).map("".join), min_size=1, max_size=3),
+    canonical=st.booleans(),
+    text=st.lists(_DOC_PIECES, max_size=12).map("".join),
+)
+@example(root_lines=["ALPHA BANK", "GRANITE HARBOR", "ALPHA"], custom_lines=["alpha\tbank,", "# x", "TRUST"],
+         canonical=True, text="Alpha Bank, N.A.\nGranite Harbor Trust")
+def test_extract_over_a_loaded_root_dictionary_equals_the_oracles(tmp_path, root_lines, custom_lines, canonical,
+                                                                   text):
+    from finames.dict_gen import RootDictionary, SuffixDictionary
+    from finames.ingest import load_document
+    from finames.ner import Extractor
+    from finames.textutil import join_tokens, name_tokens
+
+    if canonical:
+        root_lines = [join_tokens(name_tokens(line)) for line in root_lines]
+    root_dict, suffix_dict, custom = tmp_path / "root.dict", tmp_path / "suffix.dict", tmp_path / "custom.txt"
+    root_dict.write_text("".join(line + "\n" for line in root_lines), encoding="utf-8")
+    suffix_dict.write_text(", N.A.\nTRUST\n", encoding="utf-8")
+    custom.write_text("\n".join(custom_lines), encoding="utf-8")
+    doc = tmp_path / "doc.txt"
+    doc.write_text(text, encoding="utf-8")
+    suffixes = ob_token_entries(suffix_dict)
+    out = tmp_path / "mentions.tsv"
+    for flags, roots in [([], ob_token_entries(root_dict)),
+                         (["--custom-roots", str(custom)], ob_token_entries(root_dict) | ob_token_entries(custom))]:
+        argv = ["extract", "--root-dict", str(root_dict), "--suffix-dict", str(suffix_dict), *flags,
+                "--output", str(out), str(doc)]
+        assert main(argv) == 0
+        got = [tuple(line.split("\t")) for line in out.read_text(encoding="utf-8").splitlines()]
+        want = _oracle_rows(doc.name, text, roots, suffixes, {"HEADER", "SUMMARY", "BODY"})
+        assert got == [(d, str(s), str(e), label, surface) for d, s, e, label, surface in want], flags
+        mentions = Extractor(RootDictionary(roots), SuffixDictionary(suffixes)).extract(load_document(doc))
+        assert [(m.start, m.end, m.surface) for m in mentions] == [(s, e, surface) for _, s, e, _, surface in want]
+
+
+def test_extract_without_documents_parses_no_dictionary_line(workspace, monkeypatch):
+    from finames import dict_gen
+
+    tmp_path, config, doc = workspace
+    assert run_build(config) == 0
+    parsed = []
+    parse = dict_gen._line_entry
+    monkeypatch.setattr(dict_gen, "_line_entry", lambda line: parsed.append(line) or parse(line))
+    assert main(["extract", "--config", str(config), "--output", str(tmp_path / "mentions.tsv")]) == 0
+    assert parsed == []
+    assert main(["extract", "--config", str(config), "--output", str(tmp_path / "mentions.tsv"), str(doc)]) == 0
+    root_lines = (tmp_path / "root.dict").read_text(encoding="utf-8").splitlines()
+    assert parsed and len(set(parsed) & set(root_lines)) < len(root_lines)

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from finames.dict_gen import (
     BUILTIN_SUFFIX_PATTERNS,
+    RootDictionary,
     SuffixPattern,
     apply_filters,
     extract_trailing_suffix,
+    first_token_entries,
     generate_dictionaries,
     load_root_dictionary,
     load_token_entries,
@@ -21,7 +23,7 @@ from finames.dict_gen import (
     trigram_roots,
 )
 from finames.ingest import NameList, name_list_from_strings, normalize_name
-from finames.textutil import name_tokens
+from finames.textutil import join_tokens, name_tokens
 
 from oracles import ob_pattern_matchers, ob_pattern_matches, ob_token_entries, ob_tokens
 
@@ -514,16 +516,22 @@ _LINE_CHARS |= st.sampled_from([chr(c) for c in range(32)]) | st.characters(code
     break_=st.sampled_from(["\n", "\r\n", "\r", "\x1c", "\u2028"]),
     upper=st.booleans(),
     bom=st.booleans(),
+    canonical=st.booleans(),
 )
 @example(
-    lines=["WELLS FARGO BANK, N.A.", "", "  # COMMENT", "#1 X", ", #2", "A\tB"], break_="\n", upper=False, bom=True
+    lines=["WELLS FARGO BANK, N.A.", "", "  # COMMENT", "#1 X", ", #2", "A\tB"], break_="\n", upper=False, bom=True,
+    canonical=False,
 )
-@example(lines=["STRASSE", "straße", "ﬁrst"], break_="\n", upper=True, bom=False)
-@example(lines=["A\x00B", "C\x1fD"], break_="\n", upper=True, bom=False)
-@example(lines=["ALPHA", "re:BANK"], break_="\r\n", upper=False, bom=False)
-def test_token_entries_equal_the_per_line_oracle(tmp_path, lines, break_, upper, bom):
-    # Uppercase files without non-space controls take the str.split path; every
-    # other file is tokenized line by line, and a re: line names path:line.
+@example(lines=["STRASSE", "straße", "ﬁrst"], break_="\n", upper=True, bom=False, canonical=False)
+@example(lines=["A\x00B", "C\x1fD"], break_="\n", upper=True, bom=False, canonical=False)
+@example(lines=["ALPHA", "re:BANK"], break_="\r\n", upper=False, bom=False, canonical=False)
+@example(lines=["B, A", "", "#C", "A,,", "B, A", ", A"], break_="\n", upper=False, bom=False, canonical=True)
+def test_token_entries_equal_the_per_line_oracle(tmp_path, lines, break_, upper, bom, canonical):
+    # A canonical file (each line as join_tokens writes it, in any order, with
+    # blank, comment and repeated lines) is kept as its lines; every other file
+    # is tokenized line by line, and a re: line names path:line.
+    if canonical:
+        lines = [join_tokens(name_tokens(line)) for line in lines]
     text = break_.join(lines)
     text = ("\ufeff" if bom else "") + (text.upper() if upper else text)
     path = tmp_path / "entries.dict"
@@ -531,11 +539,43 @@ def test_token_entries_equal_the_per_line_oracle(tmp_path, lines, break_, upper,
     try:
         want = ob_token_entries(path)
     except ValueError as exc:
-        with pytest.raises(ValueError) as got:
-            load_token_entries(path)
-        assert str(got.value) == str(exc)
+        for load in (load_token_entries, load_root_dictionary):
+            with pytest.raises(ValueError) as got:
+                load(path)
+            assert str(got.value) == str(exc)
     else:
         assert load_token_entries(path) == want
+        roots = load_root_dictionary(path)
+        assert roots.entries == want and len(roots) == len(want)
+        assert list(roots.lines) == sorted(set(roots.lines)) == sorted(map(join_tokens, want))
+
+
+# Tokens over characters that sort next to the space and the comma ("!", "+",
+# "-") and the comment mark, with comma tokens among them.
+_LOOKUP_TOKEN = st.just(",") | st.text(st.sampled_from("AB!+-#"), min_size=1, max_size=3)
+
+
+@settings(max_examples=200)
+@given(
+    entries=st.sets(st.lists(_LOOKUP_TOKEN, min_size=1, max_size=4).map(tuple), max_size=12),
+    data=st.data(),
+)
+@example(entries={(",",), (",", "A"), (",", ","), ("A", ","), ("A", ",", "B"), ("A!",), ("A", "B"), ("A+",)},
+         data=None)
+def test_first_token_entries_equal_the_brute_force(entries, data):
+    lines = RootDictionary(entries).lines
+    firsts = sorted({entry[0] for entry in entries}) or ["A"]
+    probes = [",", "A", "A!", "A+", "A-", "#"]
+    if data is not None:  # a first token, a prefix of one or one extended
+        first = data.draw(st.sampled_from(firsts))
+        probes += [first, first[:-1] or first]
+        if first != ",":
+            probes.append(first + data.draw(st.sampled_from(["!", "+", "-", "A", "#"])))
+    for probe in probes:
+        want = sorted(entry for entry in entries if entry[0] == probe)
+        assert sorted(first_token_entries(lines, probe)) == want, probe
+    assert RootDictionary.from_lines(lines) == RootDictionary(entries)
+    assert RootDictionary.from_lines(lines).entries == entries
 
 
 def test_pattern_coverage_not_duplicated_as_literal():

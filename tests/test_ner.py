@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from finames import dict_gen
 from finames.dict_gen import RootDictionary, SuffixDictionary, SuffixPattern
 from finames.ingest import document_from_text, name_list_from_strings
 from finames.dict_gen import generate_dictionaries
@@ -391,14 +392,14 @@ def test_extract_equals_oracle_with_entries_longer_than_the_document(words, root
     ]
 
 
-class CountingEntries(frozenset):
+class CountingEntries(set):
     """An entry set that counts the token slices looked up in it."""
 
     lookups = 0
 
     def __contains__(self, item):
         CountingEntries.lookups += 1
-        return frozenset.__contains__(self, item)
+        return set.__contains__(self, item)
 
 
 def test_entry_under_an_absent_first_token_costs_no_lookup():
@@ -408,8 +409,9 @@ def test_entry_under_an_absent_first_token_costs_no_lookup():
     long_tail = " ".join(f"W{i}" for i in range(799))
 
     def lookups(d, *extra_roots):
-        extractor = Extractor(RootDictionary(CountingEntries(roots_of(*roots, *extra_roots).entries)),
-                              SuffixDictionary(CountingEntries(suffixes.literal_entries)))
+        extractor = Extractor(roots_of(*roots, *extra_roots), suffixes)
+        # The sets the extractor fills with the entries it parses.
+        extractor._roots.entries, extractor._suffixes.entries = CountingEntries(), CountingEntries()
         CountingEntries.lookups = 0
         surfaces = [m.surface for m in extractor.extract(d)]
         return CountingEntries.lookups, surfaces
@@ -574,6 +576,49 @@ def test_surface_collapses_internal_whitespace():
     mentions = Extractor(roots_of("WELLS FARGO"), suffixes_of("BANK")).extract(d)
     assert mentions[0].surface == "WELLS FARGO BANK"
     assert " ".join(d.raw_text[mentions[0].start : mentions[0].end].split()) == mentions[0].surface
+
+
+def test_surface_turns_every_separator_into_one_space():
+    # The substitution is skipped for a printable surface without two spaces
+    # in a row: of all separators only the space is printable.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    separators = "".join(SEPARATORS.findall(every))
+    assert len(separators) == 53 and [c for c in separators if c.isprintable()] == [" "]
+    extractor = Extractor(roots_of("WELLS FARGO"), suffixes_of("BANK"))
+    for ch in separators:
+        for gap in (ch, ch * 2, " " + ch, ch + " "):
+            [mention] = extractor.extract(doc(f"x Wells{gap}Fargo{gap}Bank y"))
+            assert mention.surface == "Wells Fargo Bank", repr(gap)
+
+
+@given(st.text(st.sampled_from(_TRICKY) | st.characters(), max_size=20))
+@example("A \xa0B")
+@example("A  B")
+def test_surface_equals_the_separator_substitution(text):
+    # One root of all the document's tokens: the mention covers them all.
+    d = doc(text)
+    mentions = Extractor(RootDictionary({d.tokens} - {()}), SuffixDictionary(frozenset())).extract(d)
+    assert [m.surface for m in mentions] == [SEPARATORS.sub(" ", text[m.start : m.end]) for m in mentions]
+    assert len(mentions) == (len(d.tokens) > 0)
+
+
+def test_extraction_parses_only_the_entries_under_the_tokens_of_its_documents(tmp_path, monkeypatch):
+    path = tmp_path / "root.dict"
+    path.write_text("ALPHA\nALPHA BANK\nALPHA, N.A.\nALPHAS\nBETA TRUST\n, GAMMA\nGAMMA\n", encoding="utf-8")
+    parsed = []
+    parse = dict_gen._line_entry
+    monkeypatch.setattr(dict_gen, "_line_entry", lambda line: parsed.append(line) or parse(line))
+    extractor = Extractor(dict_gen.load_root_dictionary(path), suffixes_of("BANK", ", N.A."))
+    assert parsed == []  # loading and set-up parse no line
+    mentions = extractor.extract(doc("an Alpha Bank, N.A. and gamma"))
+    assert [m.surface for m in mentions] == ["Alpha Bank, N.A.", "gamma"]
+    # The roots under ALPHA and GAMMA and the suffix under the comma; BANK is
+    # never looked up as a suffix, and AN and AND start nothing.
+    assert sorted(parsed) == [", N.A.", "ALPHA", "ALPHA BANK", "ALPHA, N.A.", "GAMMA"]
+    parsed.clear()
+    assert [m.surface for m in extractor.extract(doc("ALPHA AND GAMMA, BETA"))] == ["ALPHA", "GAMMA"]
+    # The comma and BETA are the tokens not looked up as a root start before.
+    assert parsed == [", GAMMA", "BETA TRUST"]
 
 
 def test_surface_turns_control_separators_into_spaces():

@@ -91,7 +91,7 @@ def test_document_equality_and_hash_ignore_the_token_cut():
     assert cut != Document("d2.txt", "Issuer: Alpha Bank", ())
 
 
-def test_section_config_equality_and_hash_ignore_the_compiled_markers():
+def test_section_config_equality_and_hash_are_those_of_its_plain_tuple():
     used = SectionConfig(("SUMMARY",), ("END",))
     assert segment_text("x summary", used) == (Section("HEADER", 0, 2), Section("SUMMARY", 2, 9))
     fresh = SectionConfig(("SUMMARY",), ("END",))
@@ -123,6 +123,9 @@ def test_root_dictionary_counts_and_holds_its_entries():
     assert ("BETA", "TRUST") in roots and ("BETA",) not in roots
     assert roots == RootDictionary(frozenset(entries)) and hash(roots) == hash(RootDictionary(frozenset(entries)))
     assert roots != RootDictionary(frozenset({("ALPHA",)}))
+    assert roots.lines == ("ALPHA", "BETA TRUST")
+    twin = RootDictionary.from_lines(roots.lines)
+    assert twin == roots and hash(twin) == hash(roots) and twin.entries == entries and ("ALPHA",) in twin
 
 
 def test_suffix_dictionary_counts_literals_and_patterns():
