@@ -17,6 +17,7 @@ import operator
 import re
 import sys
 from bisect import bisect_left, bisect_right
+from itertools import filterfalse, groupby
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -68,6 +69,10 @@ _SINGLE_TOKEN_DROPS = ADDRESS_TERMS | LOCATION_TERMS
 # only when it is long; short fragments are state abbreviations and the like.
 _LONG_SEGMENT_TOKENS = 2
 _LONG_SEGMENT_CHARS = 8
+
+# Prefix roots end at a name's first commas only: a prefix at every comma
+# would give a name of n commas n roots of up to n tokens.
+_PREFIX_COMMAS = 8
 
 # Last-token thresholds that trigger the two-token suffix form.
 _SHORT_SUFFIX_CHARS = 3
@@ -187,20 +192,19 @@ BUILTIN_SUFFIX_PATTERNS = (
 
 
 class RootDictionary:
-    """Root entries as their sorted, unique canonical lines (``join_tokens`` of
-    each entry, what ``save_root_dictionary`` writes; ``from_lines`` takes
-    them as they are); ``entries`` is parsed from them on first use."""
+    """Root entries as their sorted, unique canonical lines alone, what
+    ``save_root_dictionary`` writes: ``join_tokens`` of each entry the token
+    rule cuts, or ``from_lines``' lines as they are; ``entries`` is parsed on first use."""
 
     __slots__ = ("lines", "_entries")
 
     def __init__(self, entries: Iterable[TokenSeq]) -> None:
-        self._entries = frozenset(entries)
-        self.lines = tuple(sorted(map(join_tokens, self._entries)))
+        self.lines, self._entries = tuple(sorted(set(map(join_tokens, entries)))), None
 
     @classmethod
     def from_lines(cls, lines: Sequence[str]) -> RootDictionary:
         self = cls(())
-        self.lines, self._entries = tuple(lines), None
+        self.lines = tuple(lines)
         return self
 
     @property
@@ -261,25 +265,26 @@ class SuffixDictionary:
 
 
 def _strip_edge_commas(tokens: Sequence[str]) -> TokenSeq:
-    seq = tuple(tokens)
-    while seq and seq[0] == COMMA:
-        seq = seq[1:]
-    while seq and seq[-1] == COMMA:
-        seq = seq[:-1]
-    return seq
+    start, end = 0, len(tokens)
+    while start < end and tokens[start] == COMMA:
+        start += 1
+    while end > start and tokens[end - 1] == COMMA:
+        end -= 1
+    return tuple(tokens[start:end])
 
 
 def split_on_commas(name: NormalizedName) -> tuple[set[TokenSeq], set[TokenSeq]]:
     """Mine roots and suffixes from a comma-structured name 'A, B, ..., E'.
 
-    Roots are every proper comma-prefix plus any long middle segment;
-    suffixes are each trailing segment with its leading comma.
+    Roots are the proper comma-prefixes that end at the name's first eight
+    commas, plus any long middle segment; suffixes are each trailing segment
+    with its leading comma.
     """
     tokens = name.tokens
     commas = [i for i, tok in enumerate(tokens) if tok == COMMA]
     if not commas:
         raise ValueError(f"name has no comma: {name.text!r}")
-    roots = {prefix for c in commas if (prefix := _strip_edge_commas(tokens[:c]))}
+    roots = {prefix for c in commas[:_PREFIX_COMMAS] if (prefix := _strip_edge_commas(tokens[:c]))}
     for c, end in zip(commas, commas[1:]):
         segment = tokens[c + 1 : end]
         if len(segment) >= _LONG_SEGMENT_TOKENS or len(join_tokens(segment)) >= _LONG_SEGMENT_CHARS:
@@ -368,9 +373,10 @@ def generate_dictionaries(
 
     Trailing junk is stripped first; literal suffixes already covered by a
     pattern entry are not stored twice. Output is deterministic for a fixed
-    input set.
+    input set. Each name's roots go to their canonical lines at once, so no
+    root tuple outlives its name.
     """
-    roots: set[TokenSeq] = set()
+    lines: list[str] = []
     suffixes: set[TokenSeq] = set()
     unique_names = {name.text: name for lst in lists for name in lst.names}
     for name in unique_names.values():
@@ -381,10 +387,10 @@ def generate_dictionaries(
             name = normalize_name(stripped)
         suffix_hint: TokenSeq | None = None
         if COMMA in name.tokens:
-            comma_roots, comma_suffixes = split_on_commas(name)
-            roots.update(comma_roots)
+            roots, comma_suffixes = split_on_commas(name)
             suffixes.update(comma_suffixes)
         else:
+            roots = set()
             trailing = extract_trailing_suffix(name)
             if trailing:
                 suffixes.add(trailing)
@@ -398,21 +404,29 @@ def generate_dictionaries(
             if suffix_part:
                 suffixes.add(suffix_part)
         roots.update(trigram_roots(name))
+        lines += map(join_tokens, filterfalse(_FILLER_TOKENS.issuperset, roots))
+    # Sorted, each line once, and the rest of apply_filters: a single-token
+    # entry's line is its token, and "#"-led lines sort from "#" up to "$".
+    lines.sort()
+    lines = list(filterfalse(_SINGLE_TOKEN_DROPS.__contains__, map(operator.itemgetter(0), groupby(lines))))
+    del lines[bisect_left(lines, "#") : bisect_left(lines, "$")]
     literal = {entry for entry in apply_filters(suffixes) if not any(p.matches(entry) for p in patterns)}
-    return (
-        RootDictionary(frozenset(apply_filters(roots))),
-        SuffixDictionary(frozenset(literal), patterns),
-    )
+    return RootDictionary.from_lines(lines), SuffixDictionary(frozenset(literal), patterns)
+
+
+def _write_lines(path: str | Path, lines: Sequence[str]) -> None:
+    """Each line with its line break, written as one text."""
+    Path(path).write_text("\n".join([*lines, ""]), encoding="utf-8")
 
 
 def save_root_dictionary(dictionary: RootDictionary, path: str | Path) -> None:
-    Path(path).write_text("".join(line + "\n" for line in dictionary.lines), encoding="utf-8")
+    _write_lines(path, dictionary.lines)
 
 
 def save_suffix_dictionary(dictionary: SuffixDictionary, path: str | Path) -> None:
     lines = sorted(join_tokens(entry) for entry in dictionary.literal_entries)
     lines += [PATTERN_PREFIX + p.pattern_text for p in dictionary.pattern_entries]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    _write_lines(path, lines)
 
 
 def _entry_lines(path: str | Path) -> list[str]:

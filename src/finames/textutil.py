@@ -11,6 +11,7 @@ and forth without loss.
 from __future__ import annotations
 
 import re
+import sys
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -29,8 +30,10 @@ TokenSeq = tuple[str, ...]
 
 
 def name_tokens(text: str) -> TokenSeq:
-    """Uppercase token sequence of ``text`` with commas as standalone tokens."""
-    return tuple(map(str.upper, TOKEN.findall(text)))
+    """Uppercase token sequence of ``text`` with commas as standalone tokens,
+    each interned: equal tokens of all names are one string. Uppercasing makes
+    and unmakes no separator or comma, so the text is uppercased whole."""
+    return tuple(map(sys.intern, TOKEN.findall(text.upper())))
 
 
 def join_tokens(tokens: Sequence[str]) -> str:

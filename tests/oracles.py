@@ -2,7 +2,8 @@
 
 Everything here is written straight from the definitions: quantifier loops,
 linear scans over all spans, no tries, no inverted index, no shared helpers
-with the package code.
+with the package code. ``ob_dictionaries`` alone calls the package's name
+heuristics: what it checks is how their results are put together.
 """
 from __future__ import annotations
 
@@ -113,6 +114,48 @@ def ob_resolve(
     if best is None or best[1] < threshold:
         return None
     return best
+
+
+# ---------------------------------------------------------------------------
+# Dictionary generation
+
+
+def ob_dictionaries(lists: Sequence, patterns: Sequence) -> tuple:
+    """Generation as one set of root token tuples: the heuristics of
+    ``finames.dict_gen`` over each distinct name once its trailing garbage is
+    stripped, ``apply_filters`` on the whole set and ``RootDictionary`` of the
+    kept tuples; the literal suffixes are the kept ones no pattern covers."""
+    from finames import dict_gen
+    from finames.ingest import MIN_NAME_LENGTH, normalize_name, strip_trailing_garbage
+
+    roots: set[tuple[str, ...]] = set()
+    suffixes: set[tuple[str, ...]] = set()
+    for name in {name.text: name for lst in lists for name in lst.names}.values():
+        stripped = strip_trailing_garbage(name.text)
+        if len(stripped) < MIN_NAME_LENGTH:
+            continue
+        if stripped != name.text:
+            name = normalize_name(stripped)
+        suffix_hint = None
+        if "," in name.tokens:
+            comma_roots, comma_suffixes = dict_gen.split_on_commas(name)
+            roots.update(comma_roots)
+            suffixes.update(comma_suffixes)
+        else:
+            suffix_hint = dict_gen.extract_trailing_suffix(name)
+            if suffix_hint:
+                suffixes.add(suffix_hint)
+        roots.update(dict_gen.root_variants(name, suffix_hint))
+        split = dict_gen.split_on_special_token(name)
+        if split:
+            roots.update(part for part in split[:1] if part)
+            suffixes.update(part for part in split[1:] if part)
+        roots.update(dict_gen.trigram_roots(name))
+    literal = {entry for entry in dict_gen.apply_filters(suffixes) if not any(p.matches(entry) for p in patterns)}
+    return (
+        dict_gen.RootDictionary(frozenset(dict_gen.apply_filters(roots))),
+        dict_gen.SuffixDictionary(frozenset(literal), patterns),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import itertools
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from finames import dict_gen
 from finames.dict_gen import (
     BUILTIN_SUFFIX_PATTERNS,
     RootDictionary,
@@ -22,10 +25,10 @@ from finames.dict_gen import (
     split_on_special_token,
     trigram_roots,
 )
-from finames.ingest import NameList, name_list_from_strings, normalize_name
-from finames.textutil import join_tokens, name_tokens
+from finames.ingest import NameList, load_name_list, name_list_from_strings, normalize_name
+from finames.textutil import TOKEN, join_tokens, name_tokens
 
-from oracles import ob_pattern_matchers, ob_pattern_matches, ob_token_entries, ob_tokens
+from oracles import ob_dictionaries, ob_pattern_matchers, ob_pattern_matches, ob_token_entries, ob_tokens
 
 GOLDEN_NAMES = [
     "SOUTHEAST INVESTMENTS, N.C., INC.",
@@ -65,19 +68,20 @@ def test_split_on_commas_requires_comma():
     st.lists(
         st.lists(st.sampled_from(["ALPHA", "ONE", "BETAVALUE", "GC", "N.A.", "INC."]), max_size=3).map(tuple),
         min_size=2,
-        max_size=6,
+        max_size=12,
     )
 )
 @example([("ALPHA", "ONE"), ("BETAVALUE",), ("GC",), ("ALPHA", "GC"), ("ONE",)])
 @example([(), ("ALPHA",), (), (), ("GC",), ()])  # leading, doubled and trailing commas
+@example([("ALPHA",), ("ONE",), ("GC",), ("N.A.",), ("INC.",), ("ONE",), ("GC",), ("ALPHA",), ("ONE",), ("GC",)])
 def test_split_on_commas_matches_enumeration(segments):
     # Independent enumeration over the segment structure: the name is the
     # segments joined by commas, and an empty segment leaves two commas
-    # adjacent or one at an edge.
+    # adjacent or one at an edge. Prefix roots end at the first eight commas.
     roots, suffixes = split_on_commas(normalize_name(", ".join(" ".join(seg) for seg in segments)))
 
     expected_roots = set()
-    for k in range(1, len(segments)):
+    for k in range(1, min(len(segments), 9)):
         flat = list(segments[0])
         for seg in segments[1:k]:
             flat += [","] + list(seg)
@@ -446,6 +450,98 @@ def test_generate_ignores_name_order_split_and_duplication(names, data):
     assert generate_dictionaries(lists) == generate_dictionaries([name_list_from_strings(names, "x")])
 
 
+# Words for whole names: commas (a name may lead, end or double them), OF and
+# the other stop tokens, the type keywords, an address and a location term,
+# "#"-led tokens and "#", "/" and "\" garbage.
+_ORACLE_WORDS = [
+    ",", ",", "OF", "THE", "AND", "BANK", "FUND", "TRUST", "CORP", "GROUP", "STREET", "BOSTON", "GRANITE",
+    "HARBOR", "MERIDIAN", "CAPITAL", "N.A.", "INC.", "2006-A1", "#4", "# 12", "/BD", "/ X Y", "\\ADV",
+]
+_ORACLE_NAMES = st.lists(st.lists(st.sampled_from(_ORACLE_WORDS), min_size=1, max_size=9).map(" ".join), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    first=_ORACLE_NAMES,
+    second=_ORACLE_NAMES,
+    data=st.data(),
+    patterns=st.sampled_from([BUILTIN_SUFFIX_PATTERNS, (), (SuffixPattern("BANK, N.A."),)]),
+)
+@example(first=GOLDEN_NAMES, second=GOLDEN_NAMES[:1], data=None, patterns=BUILTIN_SUFFIX_PATTERNS)
+@example(first=[", GRANITE HARBOR, , BANK,", "OF THE, ,", "BOSTON"], second=["#4 GRANITE TRUST, N.A. /BD"], data=None,
+         patterns=BUILTIN_SUFFIX_PATTERNS)
+def test_generate_equals_the_one_tuple_set_oracle(first, second, data, patterns):
+    if data is not None and first:  # names shared by the two lists
+        second = second + data.draw(st.lists(st.sampled_from(first), max_size=3))
+    lists = [name_list_from_strings(first, "a"), name_list_from_strings(second, "b")]
+    roots, suffixes = generate_dictionaries(lists, patterns)
+    want_roots, want_suffixes = ob_dictionaries(lists, patterns)
+    assert roots.lines == want_roots.lines
+    assert roots.entries == want_roots.entries
+    assert suffixes == want_suffixes
+
+
+def test_names_of_two_lists_share_one_string_per_token(tmp_path):
+    (tmp_path / "a.txt").write_text("Granite Harbor Bank, N.A.\nMeridian Capital Trust\n", encoding="utf-8")
+    (tmp_path / "b.txt").write_text("GRANITE HARBOR TRUST\nmeridian bank, n.a.\n", encoding="utf-8")
+    tokens = [token for path in ("a.txt", "b.txt") for name in load_name_list(tmp_path / path, path)
+              for token in name.tokens]
+    assert len({id(token) for token in tokens}) == len(set(tokens)) < len(tokens)
+
+
+def test_generate_and_save_parse_no_root_line(monkeypatch, tmp_path):
+    parsed = []
+    parse = dict_gen._line_entry
+    monkeypatch.setattr(dict_gen, "_line_entry", lambda line: parsed.append(line) or parse(line))
+    lists = [name_list_from_strings(GOLDEN_NAMES + ["GRANITE HARBOR BANK", "MERIDIAN CAPITAL, N.A."], "x")]
+    roots, _ = generate_dictionaries(lists)
+    save_root_dictionary(roots, tmp_path / "root.dict")
+    assert parsed == []
+    assert roots.entries == ob_dictionaries(lists, BUILTIN_SUFFIX_PATTERNS)[0].entries
+    assert parsed  # on first use
+
+
+def _traced_generate_and_save(lists, path):
+    """The traced peak of ``generate_dictionaries`` and ``save_root_dictionary``."""
+    tracemalloc.start()
+    try:
+        roots, _ = generate_dictionaries(lists)
+        save_root_dictionary(roots, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generate_and_save_peak_is_a_few_times_the_written_roots(tmp_path):
+    # About 5,000 seeded names of two to six tokens with type keywords, stop
+    # tokens and comma suffixes. A root is kept as its line alone, so the peak
+    # stays a few times the file; holding each root as a token tuple as well
+    # takes about thirteen times.
+    rng = random.Random(7)
+    words = ["".join(rng.choice("ABCDEFGHIJKLMNOPQRSTUVWXYZ") for _ in range(rng.randint(3, 9))) for _ in range(1500)]
+    kinds = ["BANK", "TRUST", "CAPITAL", "FUND", "GROUP", "CORP", ", N.A.", ", INC.", "OF", "THE", "TRUST 2006-A1"]
+    names = []
+    for _ in range(5000):
+        tokens = [rng.choice(words) for _ in range(rng.randint(1, 5))]
+        tokens.insert(rng.randint(0, len(tokens)), rng.choice(kinds))
+        names.append(" ".join(tokens))
+    peak = _traced_generate_and_save([name_list_from_strings(names, "x")], tmp_path / "root.dict")
+    assert peak < 9 * (tmp_path / "root.dict").stat().st_size
+
+
+def test_a_name_of_many_commas_costs_linear_memory_and_roots(tmp_path):
+    # Prefix roots end at the first eight commas: with every comma-prefix a
+    # root, twice the commas cost four times the memory and the file.
+    def cost(commas):
+        path = tmp_path / f"root{commas}.dict"
+        peak = _traced_generate_and_save([name_list_from_strings(["ALPHA BANK" + ", X" * commas], "x")], path)
+        return peak, path.stat().st_size
+
+    (peak, size), (peak_twice, size_twice) = cost(100), cost(200)
+    assert peak_twice <= 2.5 * peak
+    assert size_twice <= 2.5 * size
+
+
 def test_generate_duplicate_lists_are_idempotent():
     one = [name_list_from_strings(GOLDEN_NAMES, "a")]
     two = one + [name_list_from_strings(GOLDEN_NAMES, "b")]
@@ -576,6 +672,27 @@ def test_first_token_entries_equal_the_brute_force(entries, data):
         assert sorted(first_token_entries(lines, probe)) == want, probe
     assert RootDictionary.from_lines(lines) == RootDictionary(entries)
     assert RootDictionary.from_lines(lines).entries == entries
+
+
+# Text over separators, commas and letters whose uppercase differs: its
+# TOKEN matches, case kept, are entries cut by the token rule.
+_RULE_ENTRY = st.text(st.sampled_from(list("aZß#!-,") + [" ", "\t", "\x1f", "\x85", "\xa0"]), max_size=10).map(
+    lambda text: tuple(TOKEN.findall(text))).filter(bool)
+
+
+@given(entries=st.lists(_RULE_ENTRY, max_size=8))
+@example(entries=[("A", ",", "B"), (",",), ("a", "ß"), ("A", ",", "B")])
+def test_root_dictionary_of_entries_keeps_lines_and_parses_them_back(entries):
+    parsed = []
+    parse = dict_gen._line_entry
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dict_gen, "_line_entry", lambda line: parsed.append(line) or parse(line))
+        roots = RootDictionary(entries)
+        assert roots.lines == tuple(sorted(set(map(join_tokens, entries))))
+        assert parsed == []
+        assert roots.entries == frozenset(entries)
+        assert len(parsed) == len(roots) == len(set(entries))
+    assert roots == RootDictionary.from_lines(roots.lines)
 
 
 def test_pattern_coverage_not_duplicated_as_literal():

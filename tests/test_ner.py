@@ -111,6 +111,13 @@ def test_separator_class_is_isspace_and_controls_on_every_code_point():
     assert "".join(TOKEN.split(every)[0::2]) == want
 
 
+def test_name_tokens_uppercase_the_whole_text_as_each_token_on_every_code_point():
+    # Uppercasing turns no character into a separator or a comma, nor a
+    # separator into anything else, so it may come before the cut.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert name_tokens(every) == tuple(map(str.upper, TOKEN.findall(every)))
+
+
 # ---------------------------------------------------------------------------
 # root matching and suffix extension, as token ranges
 
