@@ -27,7 +27,7 @@ from .ingest import (
     load_document,
     load_name_list,
 )
-from .textutil import entry_lines, read_utf8
+from .textutil import TOKEN, entry_lines, read_utf8
 
 if TYPE_CHECKING:
     from . import er
@@ -170,6 +170,12 @@ def _parse_sections(value: str) -> set[str]:
 def cmd_extract(args: argparse.Namespace) -> int:
     from . import ner
     config = _load_config(args)
+    # Checked with or without --role-filter. The filter compares a keyword with a token stripped
+    # of its ASCII edge punctuation: a keyword that is not such a token could match none.
+    keywords, window = ner._role_settings(config.role_keywords, config.window)
+    for keyword in config.role_keywords or ():
+        if not TOKEN.fullmatch(upper := keyword.upper()) or ner._bare(upper) != upper:
+            raise CliError(f"role keyword {keyword!r} can match no token: not one token without edge punctuation")
     roots = dict_gen.load_root_dictionary(_existing(config.root_dict, "root dictionary"))
     suffixes = dict_gen.load_suffix_dictionary(_existing(config.suffix_dict, "suffix dictionary"))
     # Customizations are more entries for the same dictionaries.
@@ -179,7 +185,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if config.custom_suffixes:
         custom_suffixes = dict_gen.load_suffix_dictionary(_existing(config.custom_suffixes, "custom suffixes"))
     if config.invalid_elements:
-        invalid = dict_gen.load_token_entries(_existing(config.invalid_elements, "invalid elements"))
+        invalid = dict_gen.load_root_dictionary(_existing(config.invalid_elements, "invalid elements")).entries
     overlap = invalid & (custom_roots.entries | custom_suffixes.literal_entries)
     if overlap:
         raise CliError(f"invalid elements overlap custom dictionaries: {sorted(overlap)}")
@@ -209,7 +215,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         read_from[doc.doc_id] = path
         found = extractor.extract(doc)
         if args.role_filter:
-            found = ner.filter_by_role_keyword(found, doc, config.role_keywords, config.window)
+            found = ner.filter_by_role_keyword(found, doc, keywords, window)
         mentions.extend(m for m in found if m.section in wanted_sections)
     mentions.sort(key=lambda m: (m.doc_id, m.start, m.end))
     lines = [f"{m.doc_id}\t{m.start}\t{m.end}\t{m.section}\t{m.surface}" for m in mentions]

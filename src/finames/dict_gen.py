@@ -429,9 +429,10 @@ def save_suffix_dictionary(dictionary: SuffixDictionary, path: str | Path) -> No
     _write_lines(path, lines)
 
 
-def _entry_lines(path: str | Path) -> list[str]:
+def _entry_lines(path: str | Path) -> tuple[list[str], list[tuple[int, str]]]:
     """The sorted, unique canonical lines of the entries of a one-entry-per-line
-    file. A file that is already canonical is kept as its lines: uppercase,
+    file, and (line number, line) of its ``re:`` lines in order. A file that is
+    already canonical is kept as its lines: uppercase (so no ``re:`` line),
     printable but for line breaks (so its other separators are spaces), one
     space between tokens and none before a comma. Any other is cut line by line."""
     text = read_utf8(path)
@@ -441,24 +442,21 @@ def _entry_lines(path: str | Path) -> list[str]:
         lines = sorted(text.split("\n"))
         del lines[bisect_left(lines, "#") : bisect_left(lines, "$")]  # comments
         del lines[: bisect_right(lines, "")]  # blank lines
-        return lines if all(map(operator.lt, lines, lines[1:])) else sorted(set(lines))
-    found = set()
+        return (lines if all(map(operator.lt, lines, lines[1:])) else sorted(set(lines))), []
+    found, patterns = set(), []
     for number, line in text_entry_lines(text):
         if line.startswith(PATTERN_PREFIX):
-            raise ValueError(f"{path}:{number}: pattern entry not allowed here: {line!r}")
-        tokens = name_tokens(line)
-        if tokens:
+            patterns.append((number, line))
+        elif tokens := name_tokens(line):
             found.add(join_tokens(tokens))
-    return sorted(found)
-
-
-def load_token_entries(path: str | Path) -> frozenset[TokenSeq]:
-    """Literal entries from a one-entry-per-line file, normalized to tokens."""
-    return frozenset(map(_line_entry, _entry_lines(path)))
+    return sorted(found), patterns
 
 
 def load_root_dictionary(path: str | Path) -> RootDictionary:
-    return RootDictionary.from_lines(_entry_lines(path))
+    lines, patterns = _entry_lines(path)
+    if patterns:
+        raise ValueError("{}:{}: pattern entry not allowed here: {!r}".format(path, *patterns[0]))
+    return RootDictionary.from_lines(lines)
 
 
 def _pattern_at(path: str | Path, number: int, text: str, examples: tuple[str, ...] = ()) -> SuffixPattern:
@@ -469,16 +467,9 @@ def _pattern_at(path: str | Path, number: int, text: str, examples: tuple[str, .
 
 
 def load_suffix_dictionary(path: str | Path) -> SuffixDictionary:
-    literal: set[TokenSeq] = set()
-    patterns: list[SuffixPattern] = []
-    for number, line in entry_lines(path):
-        if line.startswith(PATTERN_PREFIX):
-            patterns.append(_pattern_at(path, number, line[len(PATTERN_PREFIX) :].strip()))
-        else:
-            tokens = name_tokens(line)
-            if tokens:
-                literal.add(tokens)
-    return SuffixDictionary(frozenset(literal), patterns)
+    lines, patterns = _entry_lines(path)
+    parsed = [_pattern_at(path, number, line[len(PATTERN_PREFIX) :].strip()) for number, line in patterns]
+    return SuffixDictionary(frozenset(map(name_tokens, lines)), parsed)
 
 
 def load_suffix_patterns(path: str | Path) -> tuple[SuffixPattern, ...]:

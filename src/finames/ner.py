@@ -161,6 +161,20 @@ def _bare(token_text: str) -> str:
     return token_text.strip(_PUNCT)
 
 
+def _role_settings(keywords: Iterable[str] | None, window: int | None) -> tuple[frozenset[str], int]:
+    """The uppercased keywords and the window of the role filter; None means
+    ``DEFAULT_ROLE_KEYWORDS`` and ``DEFAULT_ROLE_WINDOW``. An empty keyword
+    set or a negative window raises ValueError."""
+    wanted = frozenset(k.upper() for k in (keywords if keywords is not None else DEFAULT_ROLE_KEYWORDS))
+    if not wanted:
+        raise ValueError("role keyword set is empty")
+    if window is None:
+        return wanted, DEFAULT_ROLE_WINDOW
+    if window < 0:
+        raise ValueError(f"role window must be >= 0, got {window}")
+    return wanted, window
+
+
 def filter_by_role_keyword(
     mentions: Sequence[Mention],
     doc: Document,
@@ -173,23 +187,12 @@ def filter_by_role_keyword(
     Distance 0 is the token immediately preceding the mention; punctuation
     stuck to the keyword ("Servicers:") is ignored for the comparison.
     """
-    wanted = {k.upper() for k in (keywords if keywords is not None else DEFAULT_ROLE_KEYWORDS)}
-    if not wanted:
-        raise ValueError("role keyword set is empty")
-    if window is None:
-        window = DEFAULT_ROLE_WINDOW
-    elif window < 0:
-        raise ValueError(f"role window must be >= 0, got {window}")
+    wanted, window = _role_settings(keywords, window)
     texts = tokenize(doc)
     starts = doc.token_bounds[0:-1:2]
     kept = []
     for mention in mentions:
-        idx = bisect_left(starts, mention.start)
-        for distance in range(window + 1):
-            k = idx - 1 - distance
-            if k < 0:
-                break
-            if _bare(texts[k]) in wanted:
-                kept.append(mention)
-                break
+        idx = bisect_left(starts, mention.start)  # the mention's first token
+        if not wanted.isdisjoint(map(_bare, texts[max(0, idx - 1 - window) : idx])):
+            kept.append(mention)
     return kept

@@ -404,23 +404,34 @@ def ob_query_tokens(text: str, stop_words: Collection[str], abbreviations: Mappi
     return tuple(query)
 
 
-def ob_token_entries(path: str | Path) -> frozenset[tuple[str, ...]]:
+def ob_entry_lines(path: str | Path) -> tuple[frozenset[tuple[str, ...]], list[tuple[int, str]]]:
     """Line loop: the ``ob_tokens`` of every stripped line of a UTF-8 file
     (leading byte-order mark dropped) that is neither blank nor a comment
-    (first non-blank character ``#``); a line starting ``re:`` raises a
-    ValueError naming ``path:line``."""
-    entries = set()
+    (first non-blank character ``#``) nor starts ``re:``, and (line number,
+    stripped line) of each line that starts ``re:``, in file order."""
+    entries, patterns = set(), []
     text = Path(path).read_bytes().decode("utf-8-sig")
     for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("re:"):
-            raise ValueError(f"{path}:{number}: pattern entry not allowed here: {line!r}")
+            patterns.append((number, line))
+            continue
         tokens = tuple(t for t, _, _ in ob_tokens(line))
         if tokens:
             entries.add(tokens)
-    return frozenset(entries)
+    return frozenset(entries), patterns
+
+
+def ob_token_entries(path: str | Path) -> frozenset[tuple[str, ...]]:
+    """The entries of ``ob_entry_lines``; a file with a ``re:`` line raises a
+    ValueError naming ``path:line`` of the first."""
+    entries, patterns = ob_entry_lines(path)
+    if patterns:
+        number, line = patterns[0]
+        raise ValueError(f"{path}:{number}: pattern entry not allowed here: {line!r}")
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -142,13 +142,15 @@ def test_extract_role_filter(workspace, capsys):
     assert run_build(config) == 0
     capsys.readouterr()
     out_path = tmp_path / "mentions.tsv"
-    code = main(
-        ["extract", "--config", str(config), "--role-filter", "--window", "2", "--output", str(out_path), str(doc)]
-    )
-    assert code == 0
+    args = ["extract", "--config", str(config), "--role-filter", "--window", "2", "--output", str(out_path), str(doc)]
+    assert main(args) == 0
     surfaces = [line.split("\t")[4] for line in out_path.read_text(encoding="utf-8").splitlines()]
     # the body occurrence has no role keyword in front of it
     assert surfaces == ["GRANITE HARBOR BANK, N.A.", "MERIDIAN CAPITAL TRUST 2004-B2"]
+    # A keyword in any case, punctuation inside it allowed.
+    assert main([*args, "--role-keywords", "co-trustee,iSSuer"]) == 0
+    surfaces = [line.split("\t")[4] for line in out_path.read_text(encoding="utf-8").splitlines()]
+    assert surfaces == ["GRANITE HARBOR BANK, N.A."]
 
 
 def test_extract_missing_document_partial_exit(workspace, capsys):
@@ -513,16 +515,44 @@ def test_abbreviation_expanding_to_no_token_exits_2(workspace, capsys):
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_negative_role_window_exits_2(workspace, capsys, source):
+    # With the role filter or without it, and with no document to filter.
     tmp_path, config, doc = workspace
     assert run_build(config) == 0
     out_path = tmp_path / "mentions.tsv"
-    args = ["extract", "--config", str(config), "--role-filter", "--output", str(out_path), str(doc)]
+    args = ["extract", "--config", str(config), "--output", str(out_path)]
     if source == "flag":
         args += ["--window", "-1"]
     else:
         config.write_text(config.read_text(encoding="utf-8") + "window = -2\n", encoding="utf-8")
-    assert main(args) == 2
-    assert "role window must be >= 0" in capsys.readouterr().err
+    for extra in (["--role-filter", str(doc)], [str(doc)], []):
+        assert main(args + extra) == 2
+        assert "role window must be >= 0" in capsys.readouterr().err
+        assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    ("keywords", "message"),
+    [
+        ("Servicer:", "error: role keyword 'Servicer:' can match no token"),
+        ("Trustee,Paying Agent", "error: role keyword 'Paying Agent' can match no token"),
+        ("(Issuer)", "error: role keyword '(Issuer)' can match no token"),
+        (",", "error: role keyword set is empty"),
+        (" , ,", "error: role keyword set is empty"),
+    ],
+    ids=["colon", "two-words", "brackets", "comma", "commas"],
+)
+@pytest.mark.parametrize("role_filter", [True, False], ids=["filter", "no-filter"])
+def test_role_keyword_no_token_can_equal_exits_2(workspace, capsys, keywords, message, role_filter):
+    # The filter compares a keyword with a token stripped of its ASCII edge
+    # punctuation: these keywords kept no mention, without a word.
+    tmp_path, config, doc = workspace
+    assert run_build(config) == 0
+    capsys.readouterr()
+    out_path = tmp_path / "mentions.tsv"
+    args = ["extract", "--config", str(config), "--role-keywords", keywords, "--output", str(out_path), str(doc)]
+    assert main(args + (["--role-filter"] if role_filter else [])) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("bom_file", ["name_list", "config"])

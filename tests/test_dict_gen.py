@@ -16,7 +16,6 @@ from finames.dict_gen import (
     first_token_entries,
     generate_dictionaries,
     load_root_dictionary,
-    load_token_entries,
     load_suffix_dictionary,
     root_variants,
     save_root_dictionary,
@@ -28,7 +27,14 @@ from finames.dict_gen import (
 from finames.ingest import NameList, load_name_list, name_list_from_strings, normalize_name
 from finames.textutil import TOKEN, join_tokens, name_tokens
 
-from oracles import ob_dictionaries, ob_pattern_matchers, ob_pattern_matches, ob_token_entries, ob_tokens
+from oracles import (
+    ob_dictionaries,
+    ob_entry_lines,
+    ob_pattern_matchers,
+    ob_pattern_matches,
+    ob_token_entries,
+    ob_tokens,
+)
 
 GOLDEN_NAMES = [
     "SOUTHEAST INVESTMENTS, N.C., INC.",
@@ -622,10 +628,15 @@ _LINE_CHARS |= st.sampled_from([chr(c) for c in range(32)]) | st.characters(code
 @example(lines=["A\x00B", "C\x1fD"], break_="\n", upper=True, bom=False, canonical=False)
 @example(lines=["ALPHA", "re:BANK"], break_="\r\n", upper=False, bom=False, canonical=False)
 @example(lines=["B, A", "", "#C", "A,,", "B, A", ", A"], break_="\n", upper=False, bom=False, canonical=True)
+@example(lines=["bank", "re:TRUST \\d{4}-[A-Z0-9]+", "# re:x", " re: , A ", "re:TRUST \\d{4}-[A-Z0-9]+"], break_="\n",
+         upper=False, bom=True, canonical=False)
+@example(lines=["re:A", "n.a.", "re: ", "re:\\d{0}"], break_="\r\n", upper=False, bom=False, canonical=False)
 def test_token_entries_equal_the_per_line_oracle(tmp_path, lines, break_, upper, bom, canonical):
     # A canonical file (each line as join_tokens writes it, in any order, with
     # blank, comment and repeated lines) is kept as its lines; every other file
-    # is tokenized line by line, and a re: line names path:line.
+    # is tokenized line by line. In a root file a re: line names path:line; in
+    # a suffix file the re: lines are its patterns, the first bad one named by
+    # path:line.
     if canonical:
         lines = [join_tokens(name_tokens(line)) for line in lines]
     text = break_.join(lines)
@@ -635,15 +646,24 @@ def test_token_entries_equal_the_per_line_oracle(tmp_path, lines, break_, upper,
     try:
         want = ob_token_entries(path)
     except ValueError as exc:
-        for load in (load_token_entries, load_root_dictionary):
-            with pytest.raises(ValueError) as got:
-                load(path)
-            assert str(got.value) == str(exc)
+        with pytest.raises(ValueError) as got:
+            load_root_dictionary(path)
+        assert str(got.value) == str(exc)
     else:
-        assert load_token_entries(path) == want
         roots = load_root_dictionary(path)
         assert roots.entries == want and len(roots) == len(want)
         assert list(roots.lines) == sorted(set(roots.lines)) == sorted(map(join_tokens, want))
+    literals, pattern_lines = ob_entry_lines(path)
+    texts = [(number, line[len("re:") :].strip()) for number, line in pattern_lines]
+    bad = [number for number, pattern_text in texts if ob_pattern_matchers(pattern_text) is None]
+    if bad:
+        with pytest.raises(ValueError) as got:
+            load_suffix_dictionary(path)
+        assert str(got.value).startswith(f"{path}:{bad[0]}: bad pattern: ")
+    else:
+        suffixes = load_suffix_dictionary(path)
+        assert suffixes.literal_entries == literals
+        assert [p.pattern_text for p in suffixes.pattern_entries] == sorted({t for _, t in texts})
 
 
 # Tokens over characters that sort next to the space and the comma ("!", "+",
