@@ -13,7 +13,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "dict_gen": ("RootDictionary", "SuffixDictionary", "SuffixPattern", "apply_filters", "generate_dictionaries"),
+    "dict_gen": ("RootDictionary", "SuffixDictionary", "SuffixPattern", "generate_dictionaries"),
     "er": ("Corpus", "ErConfig", "MatchResult", "Query", "best_match", "build_corpus", "preprocess", "resolve"),
     "evaluation": ("EvalCounts", "GoldMention", "LabeledMention", "MetricReport", "PrPoint", "count", "metrics",
                    "pr_curve"),

@@ -26,6 +26,7 @@ from .ingest import (
     SectionConfig,
     load_document,
     load_name_list,
+    normalize_name,
 )
 from .textutil import TOKEN, entry_lines, read_utf8
 
@@ -179,7 +180,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     roots = dict_gen.load_root_dictionary(_existing(config.root_dict, "root dictionary"))
     suffixes = dict_gen.load_suffix_dictionary(_existing(config.suffix_dict, "suffix dictionary"))
     # Customizations are more entries for the same dictionaries.
-    custom_roots, custom_suffixes, invalid = RootDictionary(()), SuffixDictionary(frozenset()), frozenset()
+    custom_roots, custom_suffixes, invalid = RootDictionary(()), SuffixDictionary(RootDictionary(())), frozenset()
     if config.custom_roots:
         custom_roots = dict_gen.load_root_dictionary(_existing(config.custom_roots, "custom roots"))
     if config.custom_suffixes:
@@ -189,11 +190,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     overlap = invalid & (custom_roots.entries | custom_suffixes.literal_entries)
     if overlap:
         raise CliError(f"invalid elements overlap custom dictionaries: {sorted(overlap)}")
-    if custom_roots:  # a union of the lines parses no entry
-        roots = RootDictionary.from_lines(sorted({*roots.lines, *custom_roots.lines}))
-    literals = suffixes.literal_entries | custom_suffixes.literal_entries
-    patterns = suffixes.pattern_entries + custom_suffixes.pattern_entries
-    extractor = ner.Extractor(roots, SuffixDictionary(literals, patterns), invalid)
+    extractor = ner.Extractor(roots | custom_roots, suffixes | custom_suffixes, invalid)
     section_config = config.section_config()
     wanted_sections = _parse_sections(args.sections)
 
@@ -322,7 +319,7 @@ def cmd_pr_curve(args: argparse.Namespace) -> int:
             pairs.append((0.0, False))
         else:
             entry_id, score = best
-            pairs.append((score, expected != "-" and corpus.name(entry_id) == expected))
+            pairs.append((score, expected != "-" and corpus.name(entry_id) == normalize_name(expected).text))
     try:
         points = evaluation.pr_curve(pairs)
     except ValueError as exc:

@@ -4,8 +4,8 @@ Institution names split into a distinguishing leading fragment (the root,
 e.g. "WELLS FARGO") and a short trailing type fragment shared across many
 institutions (the suffix, e.g. "BANK", ", N.A.", "TRUST 2006-A1"). This
 module mines both kinds of entry from name lists with a handful of
-splitting heuristics, applies token filters, and produces deterministic,
-serializable dictionaries for the matcher.
+splitting heuristics, applies one token filter to both, and produces
+deterministic, serializable dictionaries for the matcher.
 
 Suffixes with embedded numbering ("TRUST 2006-1", "SERIES 2005-HE3") are
 covered by pattern entries instead of literals: token sequences in a small
@@ -19,7 +19,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from itertools import filterfalse, groupby
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .ingest import MIN_NAME_LENGTH, NameList, NormalizedName, normalize_name, strip_trailing_garbage
 from .textutil import (
@@ -192,8 +192,8 @@ BUILTIN_SUFFIX_PATTERNS = (
 
 
 class RootDictionary:
-    """Root entries as their sorted, unique canonical lines alone, what
-    ``save_root_dictionary`` writes: ``join_tokens`` of each entry the token
+    """Entries, roots or literal suffixes, as their sorted, unique canonical
+    lines alone, what the savers write: ``join_tokens`` of each entry the token
     rule cuts, or ``from_lines``' lines as they are; ``entries`` is parsed on first use."""
 
     __slots__ = ("lines", "_entries")
@@ -225,6 +225,12 @@ class RootDictionary:
     def __contains__(self, tokens: object) -> bool:
         return tokens in self.entries
 
+    def __or__(self, other: RootDictionary) -> RootDictionary:
+        """The sorted union of the two dictionaries' lines; parses no entry."""
+        if not other:
+            return self
+        return RootDictionary.from_lines(sorted({*self.lines, *other.lines}))
+
 
 def _line_entry(line: str) -> TokenSeq:
     return tuple(line.replace(COMMA, " , ").split())  # a canonical line's only separator is the space
@@ -240,26 +246,35 @@ def first_token_entries(lines: Sequence[str], token: str) -> list[TokenSeq]:
 
 
 class SuffixDictionary:
-    """Literal suffixes and suffix patterns, one pattern per pattern text."""
+    """Literal suffixes, kept as a ``RootDictionary`` of their lines, and suffix
+    patterns, one pattern per pattern text."""
 
-    __slots__ = ("literal_entries", "pattern_entries")
+    __slots__ = ("literals", "pattern_entries")
 
-    def __init__(self, literal_entries: frozenset[TokenSeq], pattern_entries: Iterable[SuffixPattern] = ()) -> None:
-        self.literal_entries, self.pattern_entries = literal_entries, _by_pattern_text(pattern_entries)
+    def __init__(self, literals: RootDictionary, pattern_entries: Iterable[SuffixPattern] = ()) -> None:
+        self.literals, self.pattern_entries = literals, _by_pattern_text(pattern_entries)
+
+    @property
+    def literal_entries(self) -> frozenset[TokenSeq]:
+        return self.literals.entries
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, SuffixDictionary) and (self.literal_entries, self.pattern_entries) == (
-            other.literal_entries, other.pattern_entries)
+        return isinstance(other, SuffixDictionary) and (self.literals, self.pattern_entries) == (
+            other.literals, other.pattern_entries)
 
     def __hash__(self) -> int:
-        return hash((self.literal_entries, self.pattern_entries))
+        return hash((self.literals, self.pattern_entries))
 
     def __len__(self) -> int:
-        return len(self.literal_entries) + len(self.pattern_entries)
+        return len(self.literals) + len(self.pattern_entries)
+
+    def __or__(self, other: SuffixDictionary) -> SuffixDictionary:
+        """Both literals and both patterns; a pattern of ``other`` replaces one of the same text."""
+        return SuffixDictionary(self.literals | other.literals, self.pattern_entries + other.pattern_entries)
 
     def covers(self, tokens: TokenSeq) -> bool:
         """True when the suffix is stored literally or matched by a pattern."""
-        if tokens in self.literal_entries:
+        if tokens in self.literals:
             return True
         return any(p.matches(tokens) for p in self.pattern_entries)
 
@@ -344,25 +359,40 @@ def trigram_roots(name: NormalizedName) -> set[TokenSeq]:
     return {window for window in windows if _FILLER_TOKENS.isdisjoint(window)}
 
 
-def apply_filters(entries: Iterable[TokenSeq]) -> set[TokenSeq]:
-    """Drop single-token address/location entries, stop-token-only entries and
-    entries whose first token starts with ``#``.
+def _filtered_lines(entries: Iterable[TokenSeq]) -> list[str]:
+    """The sorted canonical lines of the entries, each once, but for an entry of
+    filler tokens alone (an empty one is), a single address or location token
+    and a line led by ``#``, which would read back as a comment. A single-token
+    entry's line is its token, and ``#``-led lines sort from ``#`` up to ``$``."""
+    lines = sorted(map(join_tokens, filterfalse(_FILLER_TOKENS.issuperset, entries)))
+    lines = list(filterfalse(_SINGLE_TOKEN_DROPS.__contains__, map(operator.itemgetter(0), groupby(lines))))
+    del lines[bisect_left(lines, "#") : bisect_left(lines, "$")]
+    return lines
 
-    A saved entry starting with ``#`` would read back as a comment line, so
-    such entries are never stored. Never edits inside multi-token entries;
-    the result is always a subset of the input.
-    """
-    kept: set[TokenSeq] = set()
-    for entry in entries:
-        entry = tuple(entry)
-        if not entry or entry[0].startswith("#"):
+
+def _mined_roots(names: Iterable[NormalizedName], suffixes: set[TokenSeq]) -> Iterator[TokenSeq]:
+    """The roots of every heuristic, name by name, once the name's trailing
+    garbage is stripped; the suffixes go to ``suffixes``."""
+    for name in names:
+        stripped = strip_trailing_garbage(name.text)
+        if len(stripped) < MIN_NAME_LENGTH:
             continue
-        if len(entry) == 1 and entry[0] in _SINGLE_TOKEN_DROPS:
-            continue
-        if _FILLER_TOKENS.issuperset(entry):
-            continue
-        kept.add(entry)
-    return kept
+        if stripped != name.text:
+            name = normalize_name(stripped)
+        roots, hint = set(), None
+        if COMMA in name.tokens:
+            roots, comma_suffixes = split_on_commas(name)
+            suffixes.update(comma_suffixes)
+        elif hint := extract_trailing_suffix(name):
+            suffixes.add(hint)
+        roots.update(root_variants(name, hint))
+        root_part, suffix_part = split_on_special_token(name) or (None, None)
+        if root_part:
+            roots.add(root_part)
+        if suffix_part:
+            suffixes.add(suffix_part)
+        roots.update(trigram_roots(name))
+        yield from roots
 
 
 def generate_dictionaries(
@@ -371,47 +401,14 @@ def generate_dictionaries(
 ) -> tuple[RootDictionary, SuffixDictionary]:
     """Run every applicable heuristic over each name and union the results.
 
-    Trailing junk is stripped first; literal suffixes already covered by a
-    pattern entry are not stored twice. Output is deterministic for a fixed
-    input set. Each name's roots go to their canonical lines at once, so no
-    root tuple outlives its name.
+    Roots and literal suffixes go through one filter, and a literal suffix a
+    pattern covers is not stored. Output is deterministic for a fixed input set.
+    Roots go to lines as each name yields them: no root tuple outlives its name.
     """
-    lines: list[str] = []
     suffixes: set[TokenSeq] = set()
-    unique_names = {name.text: name for lst in lists for name in lst.names}
-    for name in unique_names.values():
-        stripped = strip_trailing_garbage(name.text)
-        if len(stripped) < MIN_NAME_LENGTH:
-            continue
-        if stripped != name.text:
-            name = normalize_name(stripped)
-        suffix_hint: TokenSeq | None = None
-        if COMMA in name.tokens:
-            roots, comma_suffixes = split_on_commas(name)
-            suffixes.update(comma_suffixes)
-        else:
-            roots = set()
-            trailing = extract_trailing_suffix(name)
-            if trailing:
-                suffixes.add(trailing)
-                suffix_hint = trailing
-        roots.update(root_variants(name, suffix_hint))
-        split = split_on_special_token(name)
-        if split:
-            root_part, suffix_part = split
-            if root_part:
-                roots.add(root_part)
-            if suffix_part:
-                suffixes.add(suffix_part)
-        roots.update(trigram_roots(name))
-        lines += map(join_tokens, filterfalse(_FILLER_TOKENS.issuperset, roots))
-    # Sorted, each line once, and the rest of apply_filters: a single-token
-    # entry's line is its token, and "#"-led lines sort from "#" up to "$".
-    lines.sort()
-    lines = list(filterfalse(_SINGLE_TOKEN_DROPS.__contains__, map(operator.itemgetter(0), groupby(lines))))
-    del lines[bisect_left(lines, "#") : bisect_left(lines, "$")]
-    literal = {entry for entry in apply_filters(suffixes) if not any(p.matches(entry) for p in patterns)}
-    return RootDictionary.from_lines(lines), SuffixDictionary(frozenset(literal), patterns)
+    roots = _filtered_lines(_mined_roots({name.text: name for lst in lists for name in lst.names}.values(), suffixes))
+    literals = _filtered_lines(entry for entry in suffixes if not any(p.matches(entry) for p in patterns))
+    return RootDictionary.from_lines(roots), SuffixDictionary(RootDictionary.from_lines(literals), patterns)
 
 
 def _write_lines(path: str | Path, lines: Sequence[str]) -> None:
@@ -424,25 +421,30 @@ def save_root_dictionary(dictionary: RootDictionary, path: str | Path) -> None:
 
 
 def save_suffix_dictionary(dictionary: SuffixDictionary, path: str | Path) -> None:
-    lines = sorted(join_tokens(entry) for entry in dictionary.literal_entries)
-    lines += [PATTERN_PREFIX + p.pattern_text for p in dictionary.pattern_entries]
-    _write_lines(path, lines)
+    patterns = [PATTERN_PREFIX + p.pattern_text for p in dictionary.pattern_entries]
+    _write_lines(path, [*dictionary.literals.lines, *patterns])
 
 
 def _entry_lines(path: str | Path) -> tuple[list[str], list[tuple[int, str]]]:
     """The sorted, unique canonical lines of the entries of a one-entry-per-line
     file, and (line number, line) of its ``re:`` lines in order. A file that is
-    already canonical is kept as its lines: uppercase (so no ``re:`` line),
-    printable but for line breaks (so its other separators are spaces), one
-    space between tokens and none before a comma. Any other is cut line by line."""
+    already canonical, as the savers write it, is kept as its lines: printable
+    but for line breaks (so its other separators are spaces), and, but for the
+    lines led by ``re:``, uppercase with one space between tokens and none
+    before a comma. Any other is cut line by line."""
     text = read_utf8(path)
-    framed = f"\n{text}\n"
-    if (text.upper() == text and text.replace("\n", "").isprintable() and not _COMMA_BEFORE_TOKEN.search(text)
+    literals, patterns = text, []
+    if text.startswith(PATTERN_PREFIX) or "\n" + PATTERN_PREFIX in text:
+        lines = text.split("\n")
+        patterns = [(number, line.strip()) for number, line in enumerate(lines, 1) if line.startswith(PATTERN_PREFIX)]
+        literals = "\n".join(line for line in lines if not line.startswith(PATTERN_PREFIX))
+    framed = f"\n{literals}\n"
+    if (literals.upper() == literals and text.replace("\n", "").isprintable() and not _COMMA_BEFORE_TOKEN.search(literals)
             and not any(part in framed for part in ("  ", " ,", "\n ", " \n"))):
-        lines = sorted(text.split("\n"))
+        lines = sorted(literals.split("\n"))
         del lines[bisect_left(lines, "#") : bisect_left(lines, "$")]  # comments
         del lines[: bisect_right(lines, "")]  # blank lines
-        return (lines if all(map(operator.lt, lines, lines[1:])) else sorted(set(lines))), []
+        return (lines if all(map(operator.lt, lines, lines[1:])) else sorted(set(lines))), patterns
     found, patterns = set(), []
     for number, line in text_entry_lines(text):
         if line.startswith(PATTERN_PREFIX):
@@ -469,7 +471,7 @@ def _pattern_at(path: str | Path, number: int, text: str, examples: tuple[str, .
 def load_suffix_dictionary(path: str | Path) -> SuffixDictionary:
     lines, patterns = _entry_lines(path)
     parsed = [_pattern_at(path, number, line[len(PATTERN_PREFIX) :].strip()) for number, line in patterns]
-    return SuffixDictionary(frozenset(map(name_tokens, lines)), parsed)
+    return SuffixDictionary(RootDictionary.from_lines(lines), parsed)
 
 
 def load_suffix_patterns(path: str | Path) -> tuple[SuffixPattern, ...]:

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .dict_gen import RootDictionary, SuffixDictionary, SuffixPattern, first_token_entries
 from .ingest import Document
-from .textutil import SEPARATORS, TokenSeq, join_tokens
+from .textutil import SEPARATORS, TokenSeq
 
 DEFAULT_ROLE_KEYWORDS = frozenset(
     {"SERVICER", "SERVICERS", "ISSUER", "SPONSOR", "DEPOSITOR", "TRUSTEE", "UNDERWRITER", "ORIGINATOR"}
@@ -93,7 +93,7 @@ class Extractor:
         invalid: frozenset[TokenSeq] = frozenset(),
     ) -> None:
         self._roots = _Entries(roots.lines)
-        self._suffixes = _Entries(sorted(map(join_tokens, suffixes.literal_entries)))
+        self._suffixes = _Entries(suffixes.literals.lines)
         # A pattern whose first token is literal text is tried only at that
         # text; every other pattern at each extension step.
         heads = [(p.head, p) for p in suffixes.pattern_entries]

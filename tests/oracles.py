@@ -120,11 +120,25 @@ def ob_resolve(
 # Dictionary generation
 
 
+def ob_kept(entry: Tokens) -> bool:
+    """Whether the dictionary filter keeps an entry: it drops an empty entry, an
+    entry whose first token starts with "#" (its line would read back as a
+    comment), an entry of one address or location term, and an entry of stop
+    tokens and commas alone."""
+    from finames.dict_gen import ADDRESS_TERMS, LOCATION_TERMS, STOP_TOKENS
+
+    if not entry or entry[0].startswith("#"):
+        return False
+    if len(entry) == 1 and (entry[0] in ADDRESS_TERMS or entry[0] in LOCATION_TERMS):
+        return False
+    return not all(token in STOP_TOKENS or token == "," for token in entry)
+
+
 def ob_dictionaries(lists: Sequence, patterns: Sequence) -> tuple:
     """Generation as one set of root token tuples: the heuristics of
     ``finames.dict_gen`` over each distinct name once its trailing garbage is
-    stripped, ``apply_filters`` on the whole set and ``RootDictionary`` of the
-    kept tuples; the literal suffixes are the kept ones no pattern covers."""
+    stripped, ``ob_kept`` on the whole set and ``RootDictionary`` of the kept
+    tuples; the literal suffixes are the kept ones no pattern covers."""
     from finames import dict_gen
     from finames.ingest import MIN_NAME_LENGTH, normalize_name, strip_trailing_garbage
 
@@ -151,10 +165,10 @@ def ob_dictionaries(lists: Sequence, patterns: Sequence) -> tuple:
             roots.update(part for part in split[:1] if part)
             suffixes.update(part for part in split[1:] if part)
         roots.update(dict_gen.trigram_roots(name))
-    literal = {entry for entry in dict_gen.apply_filters(suffixes) if not any(p.matches(entry) for p in patterns)}
+    literal = {entry for entry in suffixes if ob_kept(entry) and not any(p.matches(entry) for p in patterns)}
     return (
-        dict_gen.RootDictionary(frozenset(dict_gen.apply_filters(roots))),
-        dict_gen.SuffixDictionary(frozenset(literal), patterns),
+        dict_gen.RootDictionary(filter(ob_kept, roots)),
+        dict_gen.SuffixDictionary(dict_gen.RootDictionary(literal), patterns),
     )
 
 

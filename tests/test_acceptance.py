@@ -227,7 +227,7 @@ def test_criterion_5_ner_bruteforce_equivalence():
             ]
             got = Extractor(
                 RootDictionary(frozenset(root_entries)),
-                SuffixDictionary(frozenset(suffix_entries), patterns),
+                SuffixDictionary(RootDictionary(suffix_entries), patterns),
             ).extract(doc)
             assert [(m.start, m.root_end, m.end) for m in got] == expected_spans, text
         assert time.perf_counter() - started < 30.0

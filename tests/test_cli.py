@@ -400,6 +400,21 @@ def test_pr_curve_no_correct_exits_2(workspace, capsys):
     assert main(["pr-curve", "--config", str(config), str(labeled)]) == 2
 
 
+def test_pr_curve_compares_the_expected_name_normalized_as_the_corpus_name_is(tmp_path):
+    # The corpus keeps its names normalized; an expected name is written as in
+    # the corpus file, or in any case and spacing.
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("Wells Fargo Bank, N.A.\nMeridian Capital Trust\n", encoding="utf-8")
+    labeled = tmp_path / "labeled.tsv"
+    labeled.write_text("Wells Fargo Bank, N.A.\tWells Fargo Bank, N.A.\n"
+                       "meridian capital trust\tmeridian  Capital Trust\n", encoding="utf-8")
+    out = tmp_path / "pr.csv"
+    assert main(["pr-curve", "--corpus", str(corpus), "--output", str(out), str(labeled)]) == 0
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [precision for _, precision, _ in rows] == ["1.000000"] * len(rows) == ["1.000000"] * 2
+    assert rows[-1][2] == "1.000000"
+
+
 def test_pr_curve_takes_no_threshold_flag_but_checks_the_config_key(workspace, capsys):
     # The curve sweeps every threshold; the one config file still serves resolve.
     tmp_path, config, doc = workspace
@@ -1216,7 +1231,8 @@ def test_extract_over_a_loaded_root_dictionary_equals_the_oracles(tmp_path, root
         got = [tuple(line.split("\t")) for line in out.read_text(encoding="utf-8").splitlines()]
         want = _oracle_rows(doc.name, text, roots, suffixes, {"HEADER", "SUMMARY", "BODY"})
         assert got == [(d, str(s), str(e), label, surface) for d, s, e, label, surface in want], flags
-        mentions = Extractor(RootDictionary(roots), SuffixDictionary(suffixes)).extract(load_document(doc))
+        extractor = Extractor(RootDictionary(roots), SuffixDictionary(RootDictionary(suffixes)))
+        mentions = extractor.extract(load_document(doc))
         assert [(m.start, m.end, m.surface) for m in mentions] == [(s, e, surface) for _, s, e, _, surface in want]
 
 
@@ -1225,11 +1241,12 @@ def test_extract_without_documents_parses_no_dictionary_line(workspace, monkeypa
 
     tmp_path, config, doc = workspace
     assert run_build(config) == 0
-    parsed = []
-    parse = dict_gen._line_entry
+    parsed, cut = [], []
+    parse, tokens = dict_gen._line_entry, dict_gen.name_tokens
     monkeypatch.setattr(dict_gen, "_line_entry", lambda line: parsed.append(line) or parse(line))
+    monkeypatch.setattr(dict_gen, "name_tokens", lambda line: cut.append(line) or tokens(line))
     assert main(["extract", "--config", str(config), "--output", str(tmp_path / "mentions.tsv")]) == 0
-    assert parsed == []
+    assert parsed == [] and cut == []  # neither the root nor the suffix lines
     assert main(["extract", "--config", str(config), "--output", str(tmp_path / "mentions.tsv"), str(doc)]) == 0
     root_lines = (tmp_path / "root.dict").read_text(encoding="utf-8").splitlines()
     assert parsed and len(set(parsed) & set(root_lines)) < len(root_lines)

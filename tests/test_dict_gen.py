@@ -10,8 +10,8 @@ from finames import dict_gen
 from finames.dict_gen import (
     BUILTIN_SUFFIX_PATTERNS,
     RootDictionary,
+    SuffixDictionary,
     SuffixPattern,
-    apply_filters,
     extract_trailing_suffix,
     first_token_entries,
     generate_dictionaries,
@@ -30,6 +30,7 @@ from finames.textutil import TOKEN, join_tokens, name_tokens
 from oracles import (
     ob_dictionaries,
     ob_entry_lines,
+    ob_kept,
     ob_pattern_matchers,
     ob_pattern_matches,
     ob_token_entries,
@@ -200,39 +201,42 @@ def test_trigrams_short_name_empty():
 
 
 # ---------------------------------------------------------------------------
-# apply_filters
+# The entry filter, which roots and literal suffixes both go through
 
 
 def test_filters_drop_single_address_term():
-    assert apply_filters({("STREET",)}) == set()
+    assert dict_gen._filtered_lines({("STREET",)}) == []
 
 
 def test_filters_keep_multi_token_entries():
     entry = toks("WALL STREET FUNDING")
-    assert apply_filters({entry}) == {entry}
+    assert dict_gen._filtered_lines({entry}) == ["WALL STREET FUNDING"]
 
 
 def test_filters_empty_input():
-    assert apply_filters(set()) == set()
+    assert dict_gen._filtered_lines(set()) == []
+    assert dict_gen._filtered_lines({()}) == []
 
 
 def test_filters_drop_stop_only_entries():
-    assert apply_filters({("THE", "OF"), ("OF",), (",",)}) == set()
+    assert dict_gen._filtered_lines({("THE", "OF"), ("OF",), (",",)}) == []
 
 
 @given(
-    st.sets(
-        st.tuples(st.sampled_from(["STREET", "THE", "GRANITE", "HARBOR", "CITY"])).map(tuple)
+    st.lists(
+        st.tuples(st.sampled_from(["STREET", "THE", "GRANITE", "HARBOR", "CITY", "#4", ","])).map(tuple)
         | st.tuples(
-            st.sampled_from(["STREET", "THE", "GRANITE", "HARBOR"]),
-            st.sampled_from(["STREET", "THE", "GRANITE", "HARBOR"]),
+            st.sampled_from(["STREET", "THE", "GRANITE", "HARBOR", "#4", ","]),
+            st.sampled_from(["STREET", "THE", "GRANITE", "HARBOR", "#4", ","]),
         ),
         max_size=8,
     )
 )
 def test_filters_output_is_subset(entries):
-    filtered = apply_filters(entries)
-    assert filtered <= {tuple(e) for e in entries}
+    # Sorted lines, each once, of the entries the filter's definition keeps.
+    filtered = dict_gen._filtered_lines(entries)
+    assert filtered == sorted({join_tokens(e) for e in entries if ob_kept(e)})
+    assert set(filtered) <= {join_tokens(e) for e in entries}
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +511,22 @@ def test_generate_and_save_parse_no_root_line(monkeypatch, tmp_path):
     assert parsed  # on first use
 
 
+def test_suffix_literals_are_saved_and_loaded_as_their_lines(monkeypatch, tmp_path):
+    parsed, cut = [], []
+    parse, tokens = dict_gen._line_entry, dict_gen.name_tokens
+    monkeypatch.setattr(dict_gen, "_line_entry", lambda line: parsed.append(line) or parse(line))
+    monkeypatch.setattr(dict_gen, "name_tokens", lambda line: cut.append(line) or tokens(line))
+    lists = [name_list_from_strings(GOLDEN_NAMES + ["GRANITE HARBOR BANK", "MERIDIAN CAPITAL, N.A."], "x")]
+    _, suffixes = generate_dictionaries(lists)
+    save_suffix_dictionary(suffixes, tmp_path / "suffix.dict")
+    loaded = load_suffix_dictionary(tmp_path / "suffix.dict")
+    assert parsed == [] and cut == []
+    assert loaded.literals == suffixes.literals
+    assert [p.pattern_text for p in loaded.pattern_entries] == [p.pattern_text for p in suffixes.pattern_entries]
+    assert suffixes.literal_entries == ob_dictionaries(lists, BUILTIN_SUFFIX_PATTERNS)[1].literal_entries
+    assert parsed  # on first use
+
+
 def _traced_generate_and_save(lists, path):
     """The traced peak of ``generate_dictionaries`` and ``save_root_dictionary``."""
     tracemalloc.start()
@@ -631,14 +651,18 @@ _LINE_CHARS |= st.sampled_from([chr(c) for c in range(32)]) | st.characters(code
 @example(lines=["bank", "re:TRUST \\d{4}-[A-Z0-9]+", "# re:x", " re: , A ", "re:TRUST \\d{4}-[A-Z0-9]+"], break_="\n",
          upper=False, bom=True, canonical=False)
 @example(lines=["re:A", "n.a.", "re: ", "re:\\d{0}"], break_="\r\n", upper=False, bom=False, canonical=False)
+@example(lines=["ALPHA", "re:TRUST \\d{4}-[A-Z0-9]+ ", "", "B, C", "re:\\d{0}", "#RE:X"], break_="\n", upper=False,
+         bom=False, canonical=False)
+@example(lines=["re:SERIES \\d{4}", "ALPHA BANK, N.A.", "re:SERIES \\d{4}"], break_="\n", upper=False, bom=False,
+         canonical=False)
 def test_token_entries_equal_the_per_line_oracle(tmp_path, lines, break_, upper, bom, canonical):
     # A canonical file (each line as join_tokens writes it, in any order, with
-    # blank, comment and repeated lines) is kept as its lines; every other file
-    # is tokenized line by line. In a root file a re: line names path:line; in
+    # blank, comment, repeated and re: lines) is kept as its lines; every other
+    # file is tokenized line by line. In a root file a re: line names path:line; in
     # a suffix file the re: lines are its patterns, the first bad one named by
     # path:line.
     if canonical:
-        lines = [join_tokens(name_tokens(line)) for line in lines]
+        lines = [line if line.startswith("re:") else join_tokens(name_tokens(line)) for line in lines]
     text = break_.join(lines)
     text = ("\ufeff" if bom else "") + (text.upper() if upper else text)
     path = tmp_path / "entries.dict"
@@ -713,6 +737,25 @@ def test_root_dictionary_of_entries_keeps_lines_and_parses_them_back(entries):
         assert roots.entries == frozenset(entries)
         assert len(parsed) == len(roots) == len(set(entries))
     assert roots == RootDictionary.from_lines(roots.lines)
+
+
+@given(a=st.lists(_RULE_ENTRY, max_size=6), b=st.lists(_RULE_ENTRY, max_size=6),
+       patterns=st.lists(st.sampled_from([*BUILTIN_SUFFIX_PATTERNS, SuffixPattern("A")]), max_size=2))
+@example(a=[("A",)], b=[], patterns=[])
+@example(a=[], b=[("A", ",")], patterns=[])
+def test_union_of_dictionaries_is_the_dictionary_of_the_union(a, b, patterns):
+    parsed = []
+    parse = dict_gen._line_entry
+    left, right = RootDictionary(a), RootDictionary(b)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dict_gen, "_line_entry", lambda line: parsed.append(line) or parse(line))
+        merged = left | right
+        suffixes = SuffixDictionary(left, patterns[:1]) | SuffixDictionary(right, patterns[1:])
+        assert parsed == []
+    assert merged == RootDictionary(set(a) | set(b)) and merged.lines == tuple(sorted(set(merged.lines)))
+    assert merged.entries == set(a) | set(b)
+    assert (merged is left) == (not b)
+    assert suffixes == SuffixDictionary(RootDictionary(set(a) | set(b)), patterns)
 
 
 def test_pattern_coverage_not_duplicated_as_literal():

@@ -25,7 +25,7 @@ def roots_of(*entries):
 
 
 def suffixes_of(*entries, patterns=()):
-    return SuffixDictionary(frozenset(name_tokens(e) for e in entries), tuple(patterns))
+    return SuffixDictionary(RootDictionary(name_tokens(e) for e in entries), tuple(patterns))
 
 
 def token_triples(d):
@@ -338,7 +338,7 @@ def test_extract_brute_force_equivalence_randomized():
         char_spans = [(tokens[s][1], tokens[r - 1][2], tokens[e - 1][2]) for s, r, e in spans]
         got = Extractor(
             RootDictionary(frozenset(root_entries)),
-            SuffixDictionary(frozenset(suffix_entries), (pattern,)),
+            SuffixDictionary(RootDictionary(suffix_entries), (pattern,)),
             invalid,
         ).extract(d)
         assert [(m.start, m.root_end, m.end) for m in got] == ob_filter_invalid(text, char_spans, invalid)
@@ -361,7 +361,7 @@ def test_extract_equals_oracle_for_nested_entries_cut_off_at_the_end():
         d = doc(text)
         tokens = token_triples(d)
         spans = ob_extract_spans(tokenize(d), root_entries, suffix_entries)
-        got = Extractor(RootDictionary(frozenset(root_entries)), SuffixDictionary(frozenset(suffix_entries))).extract(d)
+        got = Extractor(RootDictionary(root_entries), SuffixDictionary(RootDictionary(suffix_entries))).extract(d)
         assert [(m.start, m.root_end, m.end) for m in got] == [
             (tokens[s][1], tokens[r - 1][2], tokens[e - 1][2]) for s, r, e in spans
         ]
@@ -393,7 +393,7 @@ def test_extract_equals_oracle_with_entries_longer_than_the_document(words, root
     d = doc(" ".join(words))
     tokens = token_triples(d)
     spans = ob_extract_spans(tokenize(d), roots, suffixes)
-    got = Extractor(RootDictionary(frozenset(roots)), SuffixDictionary(frozenset(suffixes))).extract(d)
+    got = Extractor(RootDictionary(frozenset(roots)), SuffixDictionary(RootDictionary(suffixes))).extract(d)
     assert [(m.start, m.root_end, m.end) for m in got] == [
         (tokens[s][1], tokens[r - 1][2], tokens[e - 1][2]) for s, r, e in spans
     ]
@@ -460,7 +460,7 @@ def test_extract_equals_oracle_with_patterns_of_every_kind():
         tokens = token_triples(d)
         spans = ob_extract_spans(tokenize(d), root_entries, suffix_entries, patterns)
         got = Extractor(
-            RootDictionary(frozenset(root_entries)), SuffixDictionary(frozenset(suffix_entries), patterns)
+            RootDictionary(frozenset(root_entries)), SuffixDictionary(RootDictionary(suffix_entries), patterns)
         ).extract(d)
         assert [(m.start, m.root_end, m.end) for m in got] == [
             (tokens[s][1], tokens[r - 1][2], tokens[e - 1][2]) for s, r, e in spans
@@ -468,6 +468,29 @@ def test_extract_equals_oracle_with_patterns_of_every_kind():
         if not suffix_entries:
             extended += sum(e > r for _, r, e in spans)
     assert extended >= 20  # the patterns do match
+
+
+_MERGE_WORDS = ["ALPHA", "BETA", "TRUST", "SERIES", "2006-A1", ","]
+_MERGE_ENTRIES = st.sets(st.lists(st.sampled_from(_MERGE_WORDS), min_size=1, max_size=3).map(tuple), max_size=4)
+_MERGE_PATTERNS = st.lists(st.sampled_from(DISPATCH_PATTERNS), max_size=2)
+
+
+@settings(max_examples=150)
+@given(words=st.lists(st.sampled_from(_MERGE_WORDS), max_size=30), roots=_MERGE_ENTRIES, custom=_MERGE_ENTRIES,
+       suffixes=_MERGE_ENTRIES, custom_suffixes=_MERGE_ENTRIES, patterns=_MERGE_PATTERNS,
+       custom_patterns=_MERGE_PATTERNS)
+def test_merged_dictionaries_extract_as_the_oracle_over_the_union_sets(words, roots, custom, suffixes, custom_suffixes,
+                                                                       patterns, custom_patterns):
+    # Custom entries are more entries of the same dictionaries.
+    d = doc(" ".join(words))
+    extractor = Extractor(RootDictionary(roots) | RootDictionary(custom),
+                          SuffixDictionary(RootDictionary(suffixes), patterns)
+                          | SuffixDictionary(RootDictionary(custom_suffixes), custom_patterns))
+    tokens = token_triples(d)
+    spans = ob_extract_spans(tokenize(d), roots | custom, suffixes | custom_suffixes, patterns + custom_patterns)
+    assert [(m.start, m.root_end, m.end) for m in extractor.extract(d)] == [
+        (tokens[s][1], tokens[r - 1][2], tokens[e - 1][2]) for s, r, e in spans
+    ]
 
 
 def test_literal_head_pattern_is_tried_only_at_its_head(monkeypatch):
@@ -604,7 +627,7 @@ def test_surface_turns_every_separator_into_one_space():
 def test_surface_equals_the_separator_substitution(text):
     # One root of all the document's tokens: the mention covers them all.
     d = doc(text)
-    mentions = Extractor(RootDictionary({d.tokens} - {()}), SuffixDictionary(frozenset())).extract(d)
+    mentions = Extractor(RootDictionary({d.tokens} - {()}), SuffixDictionary(RootDictionary(()))).extract(d)
     assert [m.surface for m in mentions] == [SEPARATORS.sub(" ", text[m.start : m.end]) for m in mentions]
     assert len(mentions) == (len(d.tokens) > 0)
 

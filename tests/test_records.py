@@ -130,12 +130,12 @@ def test_root_dictionary_counts_and_holds_its_entries():
 
 def test_suffix_dictionary_counts_literals_and_patterns():
     pattern = SuffixPattern(r"SERIES \d{4}")
-    suffixes = SuffixDictionary(frozenset({("BANK",), (",", "N.A.")}), (pattern,))
-    assert len(suffixes) == 3 and len(SuffixDictionary(frozenset())) == 0
+    suffixes = SuffixDictionary(RootDictionary({("BANK",), (",", "N.A.")}), (pattern,))
+    assert len(suffixes) == 3 and len(SuffixDictionary(RootDictionary(()))) == 0
     assert suffixes.covers(("SERIES", "2005")) and suffixes.covers(("BANK",))
-    twin = SuffixDictionary(frozenset({("BANK",), (",", "N.A.")}), (SuffixPattern(r"SERIES \d{4}"),))
+    twin = SuffixDictionary(RootDictionary({("BANK",), (",", "N.A.")}), (SuffixPattern(r"SERIES \d{4}"),))
     assert suffixes == twin and hash(suffixes) == hash(twin)
-    assert suffixes != SuffixDictionary(suffixes.literal_entries)
+    assert suffixes != SuffixDictionary(suffixes.literals)
 
 
 def test_corpus_counts_its_entries():
