@@ -152,7 +152,7 @@ def cmd_build_dicts(args: argparse.Namespace) -> int:
             f" ({name_list.dropped_short} short, {name_list.dropped_duplicates} duplicates dropped)"
         )
     print(f"root entries: {len(roots)} -> {root_path}")
-    print(f"suffix literals: {len(suffixes.literal_entries)}, patterns: {len(suffixes.pattern_entries)} -> {suffix_path}")
+    print(f"suffix literals: {len(suffixes.literals)}, patterns: {len(suffixes.pattern_entries)} -> {suffix_path}")
     return 0
 
 
@@ -180,14 +180,15 @@ def cmd_extract(args: argparse.Namespace) -> int:
     roots = dict_gen.load_root_dictionary(_existing(config.root_dict, "root dictionary"))
     suffixes = dict_gen.load_suffix_dictionary(_existing(config.suffix_dict, "suffix dictionary"))
     # Customizations are more entries for the same dictionaries.
-    custom_roots, custom_suffixes, invalid = RootDictionary(()), SuffixDictionary(RootDictionary(())), frozenset()
+    custom_roots = invalid = RootDictionary(())
+    custom_suffixes = SuffixDictionary(RootDictionary(()))
     if config.custom_roots:
         custom_roots = dict_gen.load_root_dictionary(_existing(config.custom_roots, "custom roots"))
     if config.custom_suffixes:
         custom_suffixes = dict_gen.load_suffix_dictionary(_existing(config.custom_suffixes, "custom suffixes"))
     if config.invalid_elements:
-        invalid = dict_gen.load_root_dictionary(_existing(config.invalid_elements, "invalid elements")).entries
-    overlap = invalid & (custom_roots.entries | custom_suffixes.literal_entries)
+        invalid = dict_gen.load_root_dictionary(_existing(config.invalid_elements, "invalid elements"))
+    overlap = invalid.entries & (custom_roots.entries | custom_suffixes.literal_entries)
     if overlap:
         raise CliError(f"invalid elements overlap custom dictionaries: {sorted(overlap)}")
     extractor = ner.Extractor(roots | custom_roots, suffixes | custom_suffixes, invalid)
@@ -205,6 +206,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
             continue
         except ValueError as exc:  # undecodable; the message names the file
             skipped.append(str(exc))
+            continue
+        if "\t" in doc.doc_id or doc.doc_id.splitlines() != [doc.doc_id]:  # mentions.tsv could not be read back
+            skipped.append(f"{path}: document id {doc.doc_id!r} holds a tab or a line break")
             continue
         if doc.doc_id in read_from:  # its mentions' offsets would index two texts
             skipped.append(f"{path}: document id {doc.doc_id} already read from {read_from[doc.doc_id]}")

@@ -17,7 +17,7 @@ import operator
 import re
 import sys
 from bisect import bisect_left, bisect_right
-from itertools import filterfalse, groupby
+from itertools import compress, filterfalse, groupby, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -194,12 +194,18 @@ BUILTIN_SUFFIX_PATTERNS = (
 class RootDictionary:
     """Entries, roots or literal suffixes, as their sorted, unique canonical
     lines alone, what the savers write: ``join_tokens`` of each entry the token
-    rule cuts, or ``from_lines``' lines as they are; ``entries`` is parsed on first use."""
+    rule cuts, or ``from_lines``' lines as they are. ``entries`` parses every
+    line; a lookup parses only the entries under the first tokens asked about.
+    ``_lengths`` maps each such token to a bit mask of the token lengths of the
+    entries it starts (bit ``n`` for ``n`` tokens, 0 for none), and ``_parsed``
+    holds those entries."""
 
-    __slots__ = ("lines", "_entries")
+    __slots__ = ("lines", "_lengths", "_parsed")
 
     def __init__(self, entries: Iterable[TokenSeq]) -> None:
-        self.lines, self._entries = tuple(sorted(set(map(join_tokens, entries)))), None
+        self.lines = tuple(sorted(set(map(join_tokens, entries))))
+        self._lengths: dict[str, int] = {}
+        self._parsed: set[TokenSeq] = set()
 
     @classmethod
     def from_lines(cls, lines: Sequence[str]) -> RootDictionary:
@@ -209,9 +215,7 @@ class RootDictionary:
 
     @property
     def entries(self) -> frozenset[TokenSeq]:
-        if self._entries is None:
-            self._entries = frozenset(map(_line_entry, self.lines))
-        return self._entries
+        return frozenset(map(_line_entry, self.lines))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RootDictionary) and self.lines == other.lines
@@ -223,7 +227,9 @@ class RootDictionary:
         return len(self.lines)
 
     def __contains__(self, tokens: object) -> bool:
-        return tokens in self.entries
+        if not tokens:  # the empty entry's line sorts first
+            return self.lines[:1] == ("",)
+        return self.longest_match(tokens, 0) == len(tokens)  # type: ignore[arg-type]
 
     def __or__(self, other: RootDictionary) -> RootDictionary:
         """The sorted union of the two dictionaries' lines; parses no entry."""
@@ -231,28 +237,58 @@ class RootDictionary:
             return self
         return RootDictionary.from_lines(sorted({*self.lines, *other.lines}))
 
+    def starts(self, texts: TokenSeq) -> Iterator[int]:
+        """The positions in ``texts`` whose token may start an entry: all but
+        those of tokens already looked up and found to start none. Each is read
+        from the table when the iterator reaches it, so a token found to start
+        none by a lookup made meanwhile is passed over too."""
+        return compress(range(len(texts)), map(self._lengths.get, texts, repeat(1)))
+
+    def longest_match(self, texts: TokenSeq, start: int) -> int:
+        """Token length of the longest entry at ``start``; 0 if none. The entries
+        ``texts[start]`` starts are parsed on its first lookup: the line of the
+        token itself and the lines that go on from it with a space (up to
+        ``token + "!"``) or with a comma token (up to ``token + "-"``). Only their
+        lengths are tried, longest first, and only those that fit in the tokens
+        left: a cut-off slice could equal a shorter entry."""
+        lengths = self._lengths.get(token := texts[start])
+        if lengths is None:
+            lines = self.lines
+            found = lines[bisect_left(lines, token) : bisect_left(lines, token + "!")]
+            found += lines[bisect_left(lines, token + COMMA) : bisect_left(lines, token + "-")]
+            entries = list(map(_line_entry, found))
+            self._parsed.update(entries)
+            lengths = self._lengths[token] = sum({1 << len(entry) for entry in entries})  # one bit per length
+        left = len(texts) - start
+        if lengths >> left > 1:
+            lengths &= (2 << left) - 1
+        while lengths:
+            length = lengths.bit_length() - 1
+            if texts[start : start + length] in self._parsed:
+                return length
+            lengths ^= 1 << length
+        return 0
+
 
 def _line_entry(line: str) -> TokenSeq:
     return tuple(line.replace(COMMA, " , ").split())  # a canonical line's only separator is the space
 
 
-def first_token_entries(lines: Sequence[str], token: str) -> list[TokenSeq]:
-    """The entries among sorted canonical ``lines`` whose first token is
-    ``token``: the line ``token`` itself and the lines that go on from it with
-    a space (up to ``token + "!"``) or with a comma token (up to ``token + "-"``)."""
-    found = lines[bisect_left(lines, token) : bisect_left(lines, token + "!")]
-    found += lines[bisect_left(lines, token + COMMA) : bisect_left(lines, token + "-")]
-    return list(map(_line_entry, found))
-
-
 class SuffixDictionary:
     """Literal suffixes, kept as a ``RootDictionary`` of their lines, and suffix
-    patterns, one pattern per pattern text."""
+    patterns, one pattern per pattern text. A pattern whose first token is
+    literal text is tried only at that text, every other one at each position."""
 
-    __slots__ = ("literals", "pattern_entries")
+    __slots__ = ("literals", "pattern_entries", "_patterns_at", "_patterns_anywhere")
 
     def __init__(self, literals: RootDictionary, pattern_entries: Iterable[SuffixPattern] = ()) -> None:
         self.literals, self.pattern_entries = literals, _by_pattern_text(pattern_entries)
+        heads = [(p.head, p) for p in self.pattern_entries]
+        anywhere = self._patterns_anywhere = tuple(p for head, p in heads if head is None)
+        self._patterns_at: dict[str, tuple[SuffixPattern, ...]] = {}
+        for head, pattern in heads:
+            if head is not None:
+                self._patterns_at[head] = self._patterns_at.get(head, anywhere) + (pattern,)
 
     @property
     def literal_entries(self) -> frozenset[TokenSeq]:
@@ -272,11 +308,18 @@ class SuffixDictionary:
         """Both literals and both patterns; a pattern of ``other`` replaces one of the same text."""
         return SuffixDictionary(self.literals | other.literals, self.pattern_entries + other.pattern_entries)
 
+    def longest_match(self, texts: TokenSeq, pos: int) -> int:
+        """Token length of the longest literal or pattern suffix at ``pos``; 0 if none."""
+        length = self.literals.longest_match(texts, pos)
+        for pattern in self._patterns_at.get(texts[pos], self._patterns_anywhere):
+            count = pattern.token_count
+            if count > length and pos + count <= len(texts) and pattern.matches(texts[pos : pos + count]):
+                length = count
+        return length
+
     def covers(self, tokens: TokenSeq) -> bool:
-        """True when the suffix is stored literally or matched by a pattern."""
-        if tokens in self.literals:
-            return True
-        return any(p.matches(tokens) for p in self.pattern_entries)
+        """True when the suffix, not empty, is stored literally or matched by a pattern."""
+        return bool(tokens) and self.longest_match(tokens, 0) == len(tokens)
 
 
 def _strip_edge_commas(tokens: Sequence[str]) -> TokenSeq:

@@ -4,18 +4,17 @@ Extraction is a single left-to-right pass over the token stream: find the
 leftmost-longest root entry, then repeatedly append the longest literal or
 pattern suffix that follows, then resume scanning after the consumed span.
 Matching is purely token based, so line breaks inside a name do not matter.
-An entry is matched by looking its token slice up among the entries its first
-token starts, only at their lengths (longest first, those that fit in the
-tokens left); those entries are parsed from the dictionary's sorted lines when
-a document first holds the token, so extraction parses no other entry.
+Each dictionary answers the longest entry at a token itself
+(``longest_match``), parsing only the entries under the first tokens the
+documents hold.
 """
 from __future__ import annotations
 
 import string
 from bisect import bisect_left
-from typing import Iterable, NamedTuple, Sequence
+from typing import Container, Iterable, NamedTuple, Sequence
 
-from .dict_gen import RootDictionary, SuffixDictionary, SuffixPattern, first_token_entries
+from .dict_gen import RootDictionary, SuffixDictionary
 from .ingest import Document
 from .textutil import SEPARATORS, TokenSeq
 
@@ -47,38 +46,6 @@ class Mention(NamedTuple):
     section: str
 
 
-class _Entries:
-    """One dictionary's entries, parsed from its sorted canonical lines per
-    first token on the token's first lookup. ``lengths`` maps a token to a bit
-    mask of the token lengths of the entries it starts (bit ``n`` for ``n``
-    tokens); ``skip`` holds the tokens that start none."""
-
-    def __init__(self, lines: Sequence[str]) -> None:
-        self.lines, self.lengths, self.entries, self.skip = lines, {}, set(), set()
-
-    def longest_match(self, texts: TokenSeq, start: int) -> int:
-        """Token length of the longest entry matching at ``start``; 0 if none.
-        Only the lengths of the entries ``texts[start]`` starts are tried, and
-        only those that fit in the tokens left: a cut-off slice could equal a
-        shorter entry."""
-        lengths = self.lengths.get(texts[start])
-        if lengths is None:
-            entries = first_token_entries(self.lines, texts[start])
-            self.entries.update(entries)
-            lengths = self.lengths[texts[start]] = sum({1 << len(entry) for entry in entries})  # one bit per length
-            if not lengths:
-                self.skip.add(texts[start])
-        left = len(texts) - start
-        if lengths >> left > 1:
-            lengths &= (2 << left) - 1
-        while lengths:
-            length = lengths.bit_length() - 1
-            if texts[start : start + length] in self.entries:
-                return length
-            lengths ^= 1 << length
-        return 0
-
-
 class Extractor:
     """Reusable matcher over the dictionaries' entries.
 
@@ -90,48 +57,25 @@ class Extractor:
         self,
         roots: RootDictionary,
         suffixes: SuffixDictionary,
-        invalid: frozenset[TokenSeq] = frozenset(),
+        invalid: Container[TokenSeq] = frozenset(),
     ) -> None:
-        self._roots = _Entries(roots.lines)
-        self._suffixes = _Entries(suffixes.literals.lines)
-        # A pattern whose first token is literal text is tried only at that
-        # text; every other pattern at each extension step.
-        heads = [(p.head, p) for p in suffixes.pattern_entries]
-        anywhere = tuple(p for head, p in heads if head is None)
-        self._patterns_anywhere = anywhere
-        self._patterns_at: dict[str, tuple[SuffixPattern, ...]] = {}
-        for head, pattern in heads:
-            if head is not None:
-                self._patterns_at[head] = self._patterns_at.get(head, anywhere) + (pattern,)
-        self._invalid = invalid
-
-    def _extend(self, texts: TokenSeq, pos: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-        ranges: list[tuple[int, int]] = []
-        while pos < len(texts):
-            length = self._suffixes.longest_match(texts, pos)
-            for pattern in self._patterns_at.get(texts[pos], self._patterns_anywhere):
-                count = pattern.token_count
-                if count > length and pos + count <= len(texts) and pattern.matches(texts[pos : pos + count]):
-                    length = count
-            if not length:
-                break
-            ranges.append((pos, pos + length))
-            pos += length
-        return pos, tuple(ranges)
+        self._roots, self._suffixes, self._invalid = roots, suffixes, invalid
 
     def extract(self, doc: Document) -> list[Mention]:
         texts = tokenize(doc)
-        roots, skip = self._roots, self._roots.skip
+        roots, suffixes = self._roots, self._suffixes
         mentions: list[Mention] = []
         pos = 0
-        # A token not looked up yet is a candidate: the lookup learns whether it starts a root.
-        for start in [i for i, tok in enumerate(texts) if tok not in skip]:
-            if start < pos or texts[start] in skip:
+        for start in roots.starts(texts):
+            if start < pos:
                 continue
             root_end = start + roots.longest_match(texts, start)
             if root_end == start:
                 continue
-            end, suffix_ranges = self._extend(texts, root_end)
+            end, suffix_ranges = root_end, []
+            while end < len(texts) and (length := suffixes.longest_match(texts, end)):
+                suffix_ranges.append((end, end + length))
+                end += length
             dropped = self._invalid and (texts[start:end] in self._invalid or texts[start:root_end] in self._invalid)
             if not dropped:
                 mentions.append(_build_mention(doc, start, root_end, end, suffix_ranges))
@@ -139,9 +83,7 @@ class Extractor:
         return mentions
 
 
-def _build_mention(
-    doc: Document, start: int, root_end: int, end: int, suffix_ranges: tuple[tuple[int, int], ...]
-) -> Mention:
+def _build_mention(doc: Document, start: int, root_end: int, end: int, suffix_ranges: list[tuple[int, int]]) -> Mention:
     bounds = doc.token_bounds
     start_char = bounds[2 * start]
     end_char = bounds[2 * end - 1]

@@ -217,6 +217,25 @@ def test_extract_skips_a_later_document_with_an_id_already_read(workspace, monke
     assert Path("m.tsv").read_text(encoding="utf-8") == Path("one.tsv").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", ["a\tb.txt", "a\nb.txt", "a\rb.txt", "a\x85b.txt", "a\u2028b.txt"],
+                         ids=["tab", "newline", "carriage-return", "next-line", "line-separator"])
+def test_extract_skips_a_document_whose_id_a_mentions_file_cannot_hold(workspace, capsys, name):
+    # Its rows would be cut apart where eval and resolve read mentions.tsv.
+    tmp_path, config, doc = workspace
+    assert run_build(config) == 0
+    good = extract_to(tmp_path, config, doc, "good.tsv")
+    bad = tmp_path / name
+    bad.write_text(DOC_TEXT, encoding="utf-8")
+    out_path = tmp_path / "mentions.tsv"
+    capsys.readouterr()
+    assert main(["extract", "--config", str(config), "--output", str(out_path), str(bad), str(doc)]) == 1
+    assert capsys.readouterr().err == f"skipped {bad}: document id {name!r} holds a tab or a line break\n"
+    assert out_path.read_text(encoding="utf-8") == good.read_text(encoding="utf-8")
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("doc1.txt\t8\t33\tGRANITE HARBOR BANK, N.A.\n", encoding="utf-8")
+    assert main(["eval", str(out_path), str(gold)]) == 0
+
+
 def test_build_dicts_writes_both_dictionaries_or_neither(workspace, monkeypatch, capsys):
     tmp_path, config, _ = workspace
     monkeypatch.chdir(tmp_path)

@@ -13,7 +13,6 @@ from finames.dict_gen import (
     SuffixDictionary,
     SuffixPattern,
     extract_trailing_suffix,
-    first_token_entries,
     generate_dictionaries,
     load_root_dictionary,
     load_suffix_dictionary,
@@ -24,7 +23,8 @@ from finames.dict_gen import (
     split_on_special_token,
     trigram_roots,
 )
-from finames.ingest import NameList, load_name_list, name_list_from_strings, normalize_name
+from finames.ingest import NameList, document_from_text, load_name_list, name_list_from_strings, normalize_name
+from finames.ner import Extractor
 from finames.textutil import TOKEN, join_tokens, name_tokens
 
 from oracles import (
@@ -555,17 +555,54 @@ def test_generate_and_save_peak_is_a_few_times_the_written_roots(tmp_path):
     assert peak < 9 * (tmp_path / "root.dict").stat().st_size
 
 
-def test_a_name_of_many_commas_costs_linear_memory_and_roots(tmp_path):
+class _CountingCache(set):
+    """A dictionary's cache of parsed entries that counts its work: the entries
+    parsed into it and the token slices looked up in it."""
+
+    work = 0
+
+    def update(self, entries):
+        entries = list(entries)
+        self.work += len(entries)
+        set.update(self, entries)
+
+    def __contains__(self, item):
+        self.work += 1
+        return set.__contains__(self, item)
+
+
+def _extraction_work(text, roots, suffixes):
+    root_dict, suffix_dict = RootDictionary(map(name_tokens, roots)), SuffixDictionary(
+        RootDictionary(map(name_tokens, suffixes)))
+    caches = root_dict._parsed, suffix_dict.literals._parsed = _CountingCache(), _CountingCache()
+    Extractor(root_dict, suffix_dict).extract(document_from_text("d", text))
+    return (sum(cache.work for cache in caches),)
+
+
+def _name_of_many_commas_cost(commas, tmp_path):
     # Prefix roots end at the first eight commas: with every comma-prefix a
     # root, twice the commas cost four times the memory and the file.
-    def cost(commas):
-        path = tmp_path / f"root{commas}.dict"
-        peak = _traced_generate_and_save([name_list_from_strings(["ALPHA BANK" + ", X" * commas], "x")], path)
-        return peak, path.stat().st_size
+    path = tmp_path / f"root{commas}.dict"
+    peak = _traced_generate_and_save([name_list_from_strings(["ALPHA BANK" + ", X" * commas], "x")], path)
+    return peak, path.stat().st_size
 
-    (peak, size), (peak_twice, size_twice) = cost(100), cost(200)
-    assert peak_twice <= 2.5 * peak
-    assert size_twice <= 2.5 * size
+
+# The work of each input kind at n: entries parsed plus slices looked up for
+# extraction, the traced peak and the written roots for a name of n commas.
+_WORK_AT = {
+    "repeated-root-first-token": lambda n, tmp_path: _extraction_work(
+        "ALPHA " * n, ["ALPHA BETA", "ALPHA GAMMA DELTA"], ["BANK"]),
+    # BANK starts a root too: the scan resumes after the whole mention, not at each BANK.
+    "suffix-run": lambda n, tmp_path: _extraction_work(
+        "ALPHA" + " BANK" * n, ["ALPHA", "BANK"], ["BANK", "BANK TRUST"]),
+    "name-of-many-commas": _name_of_many_commas_cost,
+}
+
+
+@pytest.mark.parametrize("kind", _WORK_AT)
+def test_counted_work_grows_linearly(kind, tmp_path):
+    once, twice = _WORK_AT[kind](100, tmp_path), _WORK_AT[kind](200, tmp_path)
+    assert all(b <= 2.1 * a for a, b in zip(once, twice)), (once, twice)
 
 
 def test_generate_duplicate_lists_are_idempotent():
@@ -713,9 +750,48 @@ def test_first_token_entries_equal_the_brute_force(entries, data):
             probes.append(first + data.draw(st.sampled_from(["!", "+", "-", "A", "#"])))
     for probe in probes:
         want = sorted(entry for entry in entries if entry[0] == probe)
-        assert sorted(first_token_entries(lines, probe)) == want, probe
+        looked_up = RootDictionary.from_lines(lines)
+        looked_up.longest_match((probe,), 0)  # parses the entries the probe starts, and only those
+        assert sorted(looked_up._parsed) == want, probe
     assert RootDictionary.from_lines(lines) == RootDictionary(entries)
     assert RootDictionary.from_lines(lines).entries == entries
+
+
+# Patterns over the lookup tokens, with a literal first token ("A", "B\d{0}")
+# and without one.
+_LOOKUP_PATTERNS = [SuffixPattern("A"), SuffixPattern("A B"), SuffixPattern("[A-Z0-9]+ ,"),
+                    SuffixPattern(r"B\d{0} [A-Z0-9]+ A")]
+
+
+@settings(max_examples=300)
+@given(
+    entries=st.sets(st.lists(_LOOKUP_TOKEN, max_size=4).map(tuple), max_size=8),
+    patterns=st.lists(st.sampled_from(_LOOKUP_PATTERNS), max_size=3),
+    data=st.data(),
+)
+@example(entries={(), ("A",), ("A", ","), ("A", "B", "A")}, patterns=[], data=None)
+def test_dictionary_lookups_equal_the_brute_force(entries, patterns, data):
+    # One pair of dictionaries for every probe: their caches fill as they go.
+    roots, suffixes = RootDictionary(entries), SuffixDictionary(RootDictionary(entries), patterns)
+    assert [p.head for p in _LOOKUP_PATTERNS] == ["A", "A", None, "B"]
+
+    def suffix(tokens):
+        return tokens in entries or any(p.matches(tokens) for p in patterns)
+
+    pieces = st.sampled_from(sorted(entries)) if entries else st.nothing()
+    probes = [(), ("A",), ("A", ","), ("A", "B", "A", "A"), (",", "A", "B")]
+    if data is not None:  # runs of entries and of single tokens
+        piece = pieces | st.lists(_LOOKUP_TOKEN, max_size=2).map(tuple)
+        probes += data.draw(st.lists(st.lists(piece, max_size=4).map(lambda run: sum(run, ())), max_size=6))
+    for probe in probes:
+        assert (probe in roots) == (probe in roots.entries), probe
+        assert suffixes.covers(probe) == (bool(probe) and suffix(probe)), probe
+        for pos in range(len(probe)):
+            rest = probe[pos:]
+            assert roots.longest_match(probe, pos) == max(
+                (len(entry) for entry in entries if rest[: len(entry)] == entry), default=0), (probe, pos)
+            assert suffixes.longest_match(probe, pos) == max(
+                (n for n in range(1, len(rest) + 1) if suffix(rest[:n])), default=0), (probe, pos)
 
 
 # Text over separators, commas and letters whose uppercase differs: its

@@ -412,13 +412,13 @@ class CountingEntries(set):
 def test_entry_under_an_absent_first_token_costs_no_lookup():
     sentence = "intro THE WELLS FARGO BANK , N.A. and THE GRANITE HARBOR TRUST COMPANY of THE MERIDIAN BANK "
     roots = ("WELLS FARGO", "THE GRANITE HARBOR", "THE MERIDIAN", "MERIDIAN")
-    suffixes = suffixes_of("BANK", ", N.A.", "TRUST", "TRUST COMPANY")
     long_tail = " ".join(f"W{i}" for i in range(799))
 
     def lookups(d, *extra_roots):
-        extractor = Extractor(roots_of(*roots, *extra_roots), suffixes)
-        # The sets the extractor fills with the entries it parses.
-        extractor._roots.entries, extractor._suffixes.entries = CountingEntries(), CountingEntries()
+        root_dict, suffixes = roots_of(*roots, *extra_roots), suffixes_of("BANK", ", N.A.", "TRUST", "TRUST COMPANY")
+        # The sets these dictionaries fill with the entries they parse.
+        root_dict._parsed, suffixes.literals._parsed = CountingEntries(), CountingEntries()
+        extractor = Extractor(root_dict, suffixes)
         CountingEntries.lookups = 0
         surfaces = [m.surface for m in extractor.extract(d)]
         return CountingEntries.lookups, surfaces
