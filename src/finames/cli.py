@@ -28,7 +28,7 @@ from .ingest import (
     load_name_list,
     normalize_name,
 )
-from .textutil import TOKEN, entry_lines, read_utf8
+from .textutil import entry_lines, read_utf8
 
 if TYPE_CHECKING:
     from . import er
@@ -171,12 +171,7 @@ def _parse_sections(value: str) -> set[str]:
 def cmd_extract(args: argparse.Namespace) -> int:
     from . import ner
     config = _load_config(args)
-    # Checked with or without --role-filter. The filter compares a keyword with a token stripped
-    # of its ASCII edge punctuation: a keyword that is not such a token could match none.
-    keywords, window = ner._role_settings(config.role_keywords, config.window)
-    for keyword in config.role_keywords or ():
-        if not TOKEN.fullmatch(upper := keyword.upper()) or ner._bare(upper) != upper:
-            raise CliError(f"role keyword {keyword!r} can match no token: not one token without edge punctuation")
+    keywords, window = ner._role_settings(config.role_keywords, config.window)  # checked with or without --role-filter
     roots = dict_gen.load_root_dictionary(_existing(config.root_dict, "root dictionary"))
     suffixes = dict_gen.load_suffix_dictionary(_existing(config.suffix_dict, "suffix dictionary"))
     # Customizations are more entries for the same dictionaries.

@@ -16,7 +16,7 @@ from typing import Container, Iterable, NamedTuple, Sequence
 
 from .dict_gen import RootDictionary, SuffixDictionary
 from .ingest import Document
-from .textutil import SEPARATORS, TokenSeq
+from .textutil import SEPARATORS, TOKEN, TokenSeq
 
 DEFAULT_ROLE_KEYWORDS = frozenset(
     {"SERVICER", "SERVICERS", "ISSUER", "SPONSOR", "DEPOSITOR", "TRUSTEE", "UNDERWRITER", "ORIGINATOR"}
@@ -104,16 +104,19 @@ def _bare(token_text: str) -> str:
 
 
 def _role_settings(keywords: Iterable[str] | None, window: int | None) -> tuple[frozenset[str], int]:
-    """The uppercased keywords and the window of the role filter; None means
-    ``DEFAULT_ROLE_KEYWORDS`` and ``DEFAULT_ROLE_WINDOW``. An empty keyword
-    set or a negative window raises ValueError."""
-    wanted = frozenset(k.upper() for k in (keywords if keywords is not None else DEFAULT_ROLE_KEYWORDS))
+    """The uppercased keywords and the window of the role filter; None means ``DEFAULT_ROLE_KEYWORDS``
+    and ``DEFAULT_ROLE_WINDOW``. An empty keyword set, a negative window or a keyword that is not one
+    token without ASCII edge punctuation, so that no stripped token can equal it, raises ValueError."""
+    keywords = DEFAULT_ROLE_KEYWORDS if keywords is None else tuple(keywords)
+    wanted = frozenset(k.upper() for k in keywords)
     if not wanted:
         raise ValueError("role keyword set is empty")
-    if window is None:
-        return wanted, DEFAULT_ROLE_WINDOW
+    window = DEFAULT_ROLE_WINDOW if window is None else window
     if window < 0:
         raise ValueError(f"role window must be >= 0, got {window}")
+    for keyword in keywords:
+        if not TOKEN.fullmatch(upper := keyword.upper()) or _bare(upper) != upper:
+            raise ValueError(f"role keyword {keyword!r} can match no token: not one token without edge punctuation")
     return wanted, window
 
 

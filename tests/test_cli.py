@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ import finames
 from finames import cli
 from finames.cli import CliError, PipelineConfig, main
 
-from oracles import ob_extract_spans, ob_sections, ob_token_entries, ob_tokens
+from oracles import ob_best_match, ob_extract_spans, ob_query_tokens, ob_sections, ob_token_entries, ob_tokens
 
 NAMES = [
     "GRANITE HARBOR BANK, N.A.",
@@ -320,6 +322,58 @@ def test_resolve_requires_corpus(tmp_path, capsys):
     mentions = tmp_path / "m.tsv"
     mentions.write_text("d\t0\t5\tBODY\tX Y\n", encoding="utf-8")
     assert main(["resolve", str(mentions)]) == 2
+
+
+# Canonical corpus lines, so that each is the name resolve writes; a name
+# list is sorted, so entry ids follow sorted order.
+_RESOLVE_CORPUS = sorted(["GRANITE HARBOR BANK, N.A.", "GRANITE HARBOR TRUST COMPANY", "HARBOR BANK OF THE WEST",
+                          "MERIDIAN CAPITAL TRUST", "WASHINGTON MUTUAL BANK", "SOUTHEAST INVESTMENTS, N.C., INC."])
+_RESOLVE_STOP_WORDS = ("THE", "OF", "AND", "INC")
+_RESOLVE_ABBREVIATIONS = {"WAMU": ("WASHINGTON", "MUTUAL")}
+# Surfaces that share a token with a corpus name, then one with no candidate
+# and two that preprocess to no token.
+_SCORED_SURFACES = ["Granite Harbor Bank, N.A.", "granite  harbor", "Harbor Bank", "WaMu Bank", "Meridian Capital",
+                    "Capital Trust Company", "the West", "Bank, N.A."]
+_UNSCORED_SURFACES = ["Zephyr Point", "The of and", "&&& -- !"]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(surfaces=st.lists(st.sampled_from(_SCORED_SURFACES + _UNSCORED_SURFACES), max_size=8),
+       pick=st.sampled_from(_SCORED_SURFACES), at=st.integers(0, 8))
+def test_resolve_rows_equal_the_oracles(tmp_path, surfaces, pick, at):
+    # resolve reuses one result per distinct surface and writes the threshold
+    # decision; the threshold is ``pick``'s own score, so ``>=`` is hit exactly.
+    surfaces.insert(at % (len(surfaces) + 1), pick)
+    entries = [ob_query_tokens(name, _RESOLVE_STOP_WORDS, _RESOLVE_ABBREVIATIONS) for name in _RESOLVE_CORPUS]
+    counts = Counter(token for entry in entries for token in set(entry))
+    idf = {token: math.log(len(entries) / count) for token, count in counts.items()}
+
+    def oracle(surface):
+        query = ob_query_tokens(surface, _RESOLVE_STOP_WORDS, _RESOLVE_ABBREVIATIONS)
+        return ob_best_match(query, entries, lambda token: idf.get(token, math.log(len(entries))))
+
+    threshold = oracle(pick)[1]
+    want = []
+    for surface in surfaces:
+        best = oracle(surface)
+        if best is None:
+            want.append(f"{surface}\t-\t0.000000\t0\n")
+        elif best[1] >= threshold:
+            want.append(f"{surface}\t{_RESOLVE_CORPUS[best[0]]}\t{best[1]:.6f}\t1\n")
+        else:
+            want.append(f"{surface}\t-\t{best[1]:.6f}\t0\n")
+    files = {"corpus": "".join(name + "\n" for name in _RESOLVE_CORPUS),
+             "stop-words": "".join(word + "\n" for word in _RESOLVE_STOP_WORDS),
+             "abbreviations": "".join(f"{k}\t{' '.join(v)}\n" for k, v in _RESOLVE_ABBREVIATIONS.items())}
+    args = ["resolve", "--threshold", repr(threshold), "--output", str(tmp_path / "resolved.tsv")]
+    for flag, text in files.items():
+        (tmp_path / flag).write_text(text, encoding="utf-8")
+        args += [f"--{flag}", str(tmp_path / flag)]
+    mentions = tmp_path / "mentions.tsv"
+    mentions.write_text("".join(f"d{i}.txt\t{i}\t{i + 5}\tBODY\t{s}\n" for i, s in enumerate(surfaces)),
+                        encoding="utf-8")
+    assert main([*args, str(mentions)]) == 0
+    assert (tmp_path / "resolved.tsv").read_text(encoding="utf-8") == "".join(want)
 
 
 def test_eval_reports_metrics(workspace, capsys):
@@ -700,6 +754,21 @@ def test_extract_with_customization_files(workspace, capsys):
     assert surfaces == ["ZEPHYR POINT FUNDING 2007-C1"]
 
 
+def test_extract_with_a_hand_written_custom_suffix_file(tmp_path):
+    # A lowercase literal, a comment and a re: line are read by the rule of
+    # every dictionary file: the literal and the pattern extend the mention past N.A.
+    names, doc, suffixes = tmp_path / "names.txt", tmp_path / "doc2.txt", tmp_path / "suffixes.txt"
+    names.write_text("Granite Harbor Bank, N.A.\n", encoding="utf-8")
+    doc.write_text("Cover page\nSummary\nThe Trustee is Granite Harbor Bank, N.A. Escrow Class A1 notes\n",
+                   encoding="utf-8")
+    suffixes.write_text("escrow\n# hand-written suffixes\nre:CLASS [A-Z0-9]+\n", encoding="utf-8")
+    dicts, out = tmp_path / "dicts", tmp_path / "mentions.tsv"
+    assert main(["build-dicts", "--name-lists", str(names), "--output", str(dicts)]) == 0
+    assert main(["extract", "--root-dict", str(dicts / "root.dict"), "--suffix-dict", str(dicts / "suffix.dict"),
+                 "--custom-suffixes", str(suffixes), "--sections", "summary", "--output", str(out), str(doc)]) == 0
+    assert out.read_text(encoding="utf-8") == "doc2.txt\t34\t75\tSUMMARY\tGranite Harbor Bank, N.A. Escrow Class A1\n"
+
+
 def test_extract_keeps_one_suffix_pattern_per_text_with_custom_suffixes(workspace, monkeypatch):
     # A custom pattern that repeats a dictionary pattern is matched once.
     from finames import ner
@@ -815,6 +884,15 @@ def test_build_dicts_with_pattern_file(tmp_path, capsys):
     assert code == 0
     suffix_lines = (tmp_path / "suffix.dict").read_text(encoding="utf-8").splitlines()
     assert "re:NOTES \\d{4}-[A-Z0-9]+" in suffix_lines
+
+
+def test_build_dicts_writes_a_name_of_ten_thousand_commas_in_a_few_times_its_length(tmp_path):
+    # Prefix roots end at the name's first eight commas; with every comma
+    # prefix a root, the file would take about 150 MB.
+    names = tmp_path / "commas.txt"
+    names.write_text("ALPHA BANK" + ", X" * 10000 + "\n", encoding="utf-8")
+    assert main(["build-dicts", "--name-lists", str(names), "--output", str(tmp_path / "commas")]) == 0
+    assert (tmp_path / "commas" / "root.dict").stat().st_size < 1_000_000
 
 
 def test_build_dicts_pattern_repeating_a_builtin_is_written_once(tmp_path, capsys):

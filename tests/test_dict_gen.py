@@ -27,6 +27,7 @@ from finames.ingest import NameList, document_from_text, load_name_list, name_li
 from finames.ner import Extractor
 from finames.textutil import TOKEN, join_tokens, name_tokens
 
+from counting import count_dictionary_work
 from oracles import (
     ob_dictionaries,
     ob_entry_lines,
@@ -555,28 +556,12 @@ def test_generate_and_save_peak_is_a_few_times_the_written_roots(tmp_path):
     assert peak < 9 * (tmp_path / "root.dict").stat().st_size
 
 
-class _CountingCache(set):
-    """A dictionary's cache of parsed entries that counts its work: the entries
-    parsed into it and the token slices looked up in it."""
-
-    work = 0
-
-    def update(self, entries):
-        entries = list(entries)
-        self.work += len(entries)
-        set.update(self, entries)
-
-    def __contains__(self, item):
-        self.work += 1
-        return set.__contains__(self, item)
-
-
 def _extraction_work(text, roots, suffixes):
     root_dict, suffix_dict = RootDictionary(map(name_tokens, roots)), SuffixDictionary(
         RootDictionary(map(name_tokens, suffixes)))
-    caches = root_dict._parsed, suffix_dict.literals._parsed = _CountingCache(), _CountingCache()
-    Extractor(root_dict, suffix_dict).extract(document_from_text("d", text))
-    return (sum(cache.work for cache in caches),)
+    _, work = count_dictionary_work(root_dict, suffix_dict, Extractor(root_dict, suffix_dict).extract,
+                                    document_from_text("d", text))
+    return (work.parsed + work.lookups,)
 
 
 def _name_of_many_commas_cost(commas, tmp_path):
